@@ -156,7 +156,19 @@ class DetectingBeacon(BeaconService):
             return  # a beacon packet for someone else (or our primary id)
         if not self.key_manager.verify(packet):
             return
+        self.judge_reply(reception)
 
+    def judge_reply(self, reception: Reception) -> None:
+        """Judge one authenticated probe reply and act on the verdict.
+
+        The post-verification half of the reply handler, shared by the
+        scalar event loop and the vectorized replay tier: build the
+        :class:`Exchange`, let :attr:`detector` evaluate it, record the
+        outcome and report an indicted target — all at the reply's
+        arrival time, which the replay tier emulates without advancing
+        the engine clock.
+        """
+        packet = reception.packet
         exchange = Exchange(
             detector_id=self.node_id,
             detecting_id=packet.dst_id,
@@ -173,6 +185,7 @@ class DetectingBeacon(BeaconService):
             packet.src_id,
             verdict.decision,
             signal_consistent=verdict.signal_consistent,
+            time=reception.arrival_time,
         )
         if verdict.indict:
             self.report_alert(packet.src_id, time=reception.arrival_time)
@@ -182,7 +195,9 @@ class DetectingBeacon(BeaconService):
         if self.network is None:
             return 0.0
         tx = reception.transmission
-        return self.network.measure_rtt(self, tx.tx_origin, tx.extra_delay_cycles)
+        return self.network.measure_rtt(
+            self, tx.tx_origin, tx.extra_delay_cycles, reception.arrival_time
+        )
 
     # ------------------------------------------------------------------
     # Reporting
@@ -229,6 +244,7 @@ class DetectingBeacon(BeaconService):
         decision: str,
         *,
         signal_consistent: bool,
+        time: float,
     ) -> None:
         self.probe_outcomes.append(
             ProbeOutcome(
@@ -241,7 +257,7 @@ class DetectingBeacon(BeaconService):
             # assert "a consistent signal never indicts" from the trace
             # alone, without re-deriving the check.
             self.network.trace.record(
-                self.network.engine.now(),
+                time,
                 "probe",
                 detector=self.node_id,
                 detecting_id=detecting_id,

@@ -101,6 +101,7 @@ class AngleDetectingBeacon(DetectingBeacon):
             self._record(
                 packet.dst_id, packet.src_id, "consistent",
                 signal_consistent=consistent,
+                time=reception.arrival_time,
             )
             return
         if check.angle.is_malicious and not check.distance.is_malicious:
@@ -114,15 +115,18 @@ class AngleDetectingBeacon(DetectingBeacon):
             self._record(
                 packet.dst_id, packet.src_id, "replayed_wormhole",
                 signal_consistent=consistent,
+                time=reception.arrival_time,
             )
             return
         if decision is FilterDecision.REPLAYED_LOCAL:
             self._record(
                 packet.dst_id, packet.src_id, "replayed_local",
                 signal_consistent=consistent,
+                time=reception.arrival_time,
             )
             return
         self._record(
-            packet.dst_id, packet.src_id, "alert", signal_consistent=consistent
+            packet.dst_id, packet.src_id, "alert",
+            signal_consistent=consistent, time=reception.arrival_time,
         )
         self.report_alert(packet.src_id, time=reception.arrival_time)

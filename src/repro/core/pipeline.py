@@ -115,8 +115,9 @@ class PipelineConfig:
     #: suite, bit-identical to the pre-arena pipeline; rivals
     #: (``"mahalanobis"``, ``"noisy"``, ``"consistency"``) calibrate on
     #: the dedicated ``detector-calibration`` stream and share one
-    #: instance across all detecting beacons. Non-paper detectors run on
-    #: the scalar path only (see
+    #: instance across all detecting beacons. Every detector runs on the
+    #: vectorized core; rivals take its per-delivery replay tier, never
+    #: the paper-only turbo tier (see
     #: :func:`repro.vec.vectorized_core_supported`).
     detector: str = "paper"
     wormhole_endpoints: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = (
@@ -153,8 +154,8 @@ class PipelineConfig:
     #: is outside the batch path's supported envelope (ARQ loss,
     #: flooded revocation, event budgets — see
     #: :func:`repro.vec.vectorized_core_supported`). Results match the
-    #: scalar path under the parity rules in docs/PERFORMANCE.md:
-    #: everything bit-identical except localization errors (≤ ~1e-3 ft).
+    #: scalar path bit for bit under the parity rules in
+    #: docs/PERFORMANCE.md, localization errors included.
     #: Defaults to the ``REPRO_USE_VECTORIZED_CORE=1`` env switch.
     use_vectorized_core: bool = field(default_factory=_vec_core_default)
     #: Declarative fault-injection scenario (see :mod:`repro.faults` and
@@ -288,7 +289,9 @@ class SecureNonBeaconAgent(NonBeaconAgent):
         if self.network is None:
             return 0.0
         tx = reception.transmission
-        return self.network.measure_rtt(self, tx.tx_origin, tx.extra_delay_cycles)
+        return self.network.measure_rtt(
+            self, tx.tx_origin, tx.extra_delay_cycles, reception.arrival_time
+        )
 
 
 class SecureLocalizationPipeline:

@@ -97,8 +97,11 @@ class Verdict:
             ``"replayed_wormhole"``).
         indict: whether the detecting beacon should report the target.
         signal_consistent: the §2.1 distance-consistency outcome for
-            this exchange — recorded next to the decision so the
-            consistent-never-indicts invariant holds for every detector.
+            this exchange — recorded next to the decision so trace
+            checkers can test the consistent-never-indicts invariant.
+            That invariant holds for ``paper`` only: rivals such as
+            ``mahalanobis`` and ``noisy`` may indict a signal that
+            passes the §2.1 check (docs/ARENA.md).
         detail: optional free-form diagnostic (e.g. a test statistic).
     """
 

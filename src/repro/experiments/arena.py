@@ -16,8 +16,10 @@ and wormhole. Per detector the arena reports:
   non-deterministic output, excluded from identity checks).
 
 All runs force ``use_vectorized_core=False`` so every detector is timed
-on the same scalar execution path (rivals cannot run vectorized anyway;
-see :func:`repro.vec.vectorized_core_supported`).
+on the same scalar execution path. The vectorized core would split
+them: on a clean channel ``paper`` takes the array-built turbo tier
+while rivals take the per-delivery replay tier (see
+:func:`repro.vec.vectorized_core_supported`).
 
 ``benchmarks/bench_arena.py`` snapshots the output into the committed
 ``BENCH_arena.json`` + ``benchmarks/ARENA_REPORT.md``; the CLI target

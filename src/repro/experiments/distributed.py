@@ -766,12 +766,20 @@ def execute_queue(
         },
     )
 
+    # Crash-injected workers start alone; the rest are held back until
+    # every one of them has exited. Otherwise a healthy worker can drain
+    # (or steal) every task before the injected one makes its first
+    # claim, and the crash never fires.
     procs: List[Tuple[str, int, subprocess.Popen]] = []
+    held: List[int] = []
     for i in range(n_workers):
         crash = runner.queue_crash_after.get(i)
-        procs.append(
-            (f"w{i}", i, _spawn_worker(layout, f"w{i}", i, crash))
-        )
+        if crash is None:
+            held.append(i)
+        else:
+            procs.append(
+                (f"w{i}", i, _spawn_worker(layout, f"w{i}", i, crash))
+            )
 
     poll_s = 0.02
     settled: set = set()
@@ -813,6 +821,13 @@ def execute_queue(
                 elif proc.pid not in reaped:
                     reaped.add(proc.pid)
                     dead_pids.add(proc.pid)
+            if held and live == 0:
+                for i in held:
+                    worker = _spawn_worker(layout, f"w{i}", i, None)
+                    procs.append((f"w{i}", i, worker))
+                live += len(held)
+                held = []
+                progressed = True
 
             # Expire stale leases so the task becomes claimable again.
             for index in pending:

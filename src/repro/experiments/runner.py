@@ -494,7 +494,9 @@ class ExperimentRunner:
         queue_crash_after: queue backend only — fault injection for
             tests/benches: maps a spawned worker's index to the claim
             count after which it hard-crashes (``os._exit``) while still
-            holding its lease, exercising the re-queue path.
+            holding its lease, exercising the re-queue path. Injected
+            workers start first and the others only once every injected
+            one has exited, so the crash fires deterministically.
         cache_dir: enable the on-disk :class:`ResultCache` rooted here.
         progress: called with a :class:`ProgressEvent` after each task.
         profile: collect per-trial phase timings and hot-path counters

@@ -648,7 +648,11 @@ class Network:
         return angle + noise
 
     def measure_rtt(
-        self, requester: Node, responder_position: Point, extra_delay_cycles: float
+        self,
+        requester: Node,
+        responder_position: Point,
+        extra_delay_cycles: float,
+        start_time: float,
     ) -> float:
         """Sample the register-level RTT of one request/reply exchange.
 
@@ -658,18 +662,31 @@ class Network:
         picks up channel jitter/outlier spikes and the requester's clock
         drift — the §2.2.2 stress case where the true distribution no
         longer matches the calibrated Figure-4 window.
+
+        ``start_time`` is t1, the reply's arrival time — passed in
+        rather than read off the engine clock, because the event-free
+        replay emulates arrivals without advancing it.
         """
         dist = distance(requester.position, responder_position)
         sample = self.rtt_model.sample(
             self.rngs.stream("rtt"),
             distance_ft=dist,
             extra_delay_cycles=extra_delay_cycles,
-            start_time=self.engine.now(),
+            start_time=start_time,
         )
+        return self.observe_rtt(sample.rtt, requester)
+
+    def observe_rtt(self, rtt: float, requester: Node) -> float:
+        """Turn one raw RTT sample into ``requester``'s observation.
+
+        Applies the fault injector's RTT perturbation (jitter, spikes,
+        clock drift) and then the ``rtt_observer`` hook — the half of
+        :meth:`measure_rtt` the batched kernels share after drawing the
+        raw samples themselves.
+        """
         injector = self.fault_injector
-        rtt = sample.rtt
         if injector is not None and injector.perturbs_rtt():
-            rtt = injector.perturb_rtt(sample.rtt, observer_id=requester.node_id)
+            rtt = injector.perturb_rtt(rtt, observer_id=requester.node_id)
         if self.rtt_observer is not None:
             self.rtt_observer(rtt, requester)
         return rtt

@@ -35,19 +35,20 @@ def vectorized_core_supported(config) -> bool:
 
     The replay engine covers the paper's evaluation matrix — wormholes,
     collusion, network loss, the full fault-injection surface, spatial
-    index on/off — but not configurations whose control flow interleaves
-    extra events with deliveries:
+    index on/off, every registered detector — but not configurations
+    whose control flow interleaves extra events with deliveries:
 
     - ARQ channels (``alert_loss_rate``/``request_loss_rate`` > 0)
       schedule timer events between deliveries;
     - flooded revocation dissemination relays notices during phases;
     - an ``max_events`` budget needs per-event accounting to stop
-      mid-phase;
-    - rival detectors (``config.detector != "paper"``) make per-exchange
-      decisions the batch kernels do not model — they replay only the
-      paper's §2.1+§2.2 suite.
+      mid-phase.
 
-    Those run on the scalar oracle path unchanged. The predicate is
+    Those run on the scalar oracle path unchanged. Rival detectors
+    (``config.detector != "paper"``) are admitted but always take the
+    per-delivery replay tier, judging each reply through the scalar
+    ``Detector.evaluate``; only ``paper`` reaches the array-built turbo
+    tier (:func:`repro.vec.turbo.turbo_supported`). The predicate is
     duck-typed on the config attributes so it never imports the
     pipeline module.
     """
@@ -57,5 +58,4 @@ def vectorized_core_supported(config) -> bool:
         and config.request_loss_rate == 0.0
         and config.revocation_dissemination == "oracle"
         and config.max_events is None
-        and getattr(config, "detector", "paper") == "paper"
     )

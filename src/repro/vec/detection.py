@@ -17,6 +17,12 @@ processed with batched kernels:
   the scalar order, so every probabilistic detector draw and every
   revocation stays bit-identical.
 
+Rival detectors (``PipelineConfig.detector != "paper"``) skip the
+batched kernels: each reply goes through the beacon's own
+:meth:`~repro.core.detecting.DetectingBeacon.judge_reply`, in reply
+order, whose lazy RTT provider makes exactly the scalar
+``Network.measure_rtt`` draws at the reply's arrival time.
+
 Paper section: §2.1-§2.2, §3.1 (the detection round, batched)
 """
 
@@ -24,7 +30,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-from repro.core.detecting import DetectingBeacon, ProbeOutcome
 from repro.core.replay_filter import FilterDecision
 from repro.sim.messages import BeaconRequest
 from repro.sim.radio import Reception
@@ -78,12 +83,20 @@ def run_detection_vectorized(pipeline) -> None:
 def _process_probe_replies(
     pipeline, delivered: List[Tuple[Delivery, Reception]]
 ) -> None:
-    """Emulate ``DetectingBeacon._handle_probe_reply`` over one batch."""
+    """Emulate ``DetectingBeacon._handle_probe_reply`` over one batch.
+
+    Rival detectors judge each reply through the beacon's own
+    :meth:`~repro.core.detecting.DetectingBeacon.judge_reply`, in reply
+    order, so their per-exchange state and lazy RTT draws follow the
+    scalar sequence exactly. The paper suite takes the batched kernels.
+    """
+    if pipeline.detector is not None:
+        for entry, reception in delivered:
+            entry.dst.judge_reply(reception)
+        return
     if not delivered:
         return
     network = pipeline.network
-    injector = network.fault_injector
-    trace = network.trace
     calculated = [
         distance(entry.dst.position, reception.packet.claimed_point)
         for entry, reception in delivered
@@ -112,67 +125,30 @@ def _process_probe_replies(
         [entry.time for entry, _ in inconsistent],
     )
     pipeline._vec_bump("rtt_batched", len(inconsistent))
-    perturbs = injector is not None and injector.perturbs_rtt()
     next_rtt = 0
     for index, (entry, reception) in enumerate(delivered):
         beacon = entry.dst
         packet = reception.packet
         if not malicious_mask[index]:
-            _record(
-                trace, beacon, packet.dst_id, packet.src_id,
-                "consistent", True, entry.time,
+            beacon._record(
+                packet.dst_id, packet.src_id, "consistent",
+                signal_consistent=True, time=entry.time,
             )
             continue
-        rtt = float(rtts[next_rtt])
+        rtt = network.observe_rtt(float(rtts[next_rtt]), beacon)
         next_rtt += 1
-        if perturbs:
-            rtt = injector.perturb_rtt(rtt, observer_id=beacon.node_id)
-        if network.rtt_observer is not None:
-            network.rtt_observer(rtt, beacon)
         decision = beacon.filter_cascade.evaluate(
             reception, beacon.position, rtt, receiver_knows_location=True
         )
         if decision is FilterDecision.REPLAYED_WORMHOLE:
-            _record(
-                trace, beacon, packet.dst_id, packet.src_id,
-                "replayed_wormhole", False, entry.time,
-            )
+            label = "replayed_wormhole"
         elif decision is FilterDecision.REPLAYED_LOCAL:
-            _record(
-                trace, beacon, packet.dst_id, packet.src_id,
-                "replayed_local", False, entry.time,
-            )
+            label = "replayed_local"
         else:
-            _record(
-                trace, beacon, packet.dst_id, packet.src_id,
-                "alert", False, entry.time,
-            )
-            beacon.report_alert(packet.src_id, time=entry.time)
-
-
-def _record(
-    trace,
-    beacon: DetectingBeacon,
-    detecting_id: int,
-    target_id: int,
-    decision: str,
-    signal_consistent: bool,
-    time: float,
-) -> None:
-    """Mirror ``DetectingBeacon._record`` at the emulated arrival time."""
-    beacon.probe_outcomes.append(
-        ProbeOutcome(
-            detecting_id=detecting_id,
-            target_id=target_id,
-            decision=decision,
+            label = "alert"
+        beacon._record(
+            packet.dst_id, packet.src_id, label,
+            signal_consistent=False, time=entry.time,
         )
-    )
-    trace.record(
-        time,
-        "probe",
-        detector=beacon.node_id,
-        detecting_id=detecting_id,
-        target=target_id,
-        decision=decision,
-        signal_consistent=signal_consistent,
-    )
+        if label == "alert":
+            beacon.report_alert(packet.src_id, time=entry.time)

@@ -81,7 +81,6 @@ def run_localization_vectorized(pipeline) -> None:
         if reception.packet.src_id not in entry.dst.revoked_beacons
     ]
     network = pipeline.network
-    injector = network.fault_injector
     rtts = batched_rtt(
         network.rngs.stream("rtt"),
         network.rtt_model,
@@ -93,14 +92,9 @@ def run_localization_vectorized(pipeline) -> None:
         [entry.time for entry, _ in kept],
     )
     pipeline._vec_bump("rtt_batched", len(kept))
-    perturbs = injector is not None and injector.perturbs_rtt()
     for index, (entry, reception) in enumerate(kept):
         agent = entry.dst
-        rtt = float(rtts[index])
-        if perturbs:
-            rtt = injector.perturb_rtt(rtt, observer_id=agent.node_id)
-        if network.rtt_observer is not None:
-            network.rtt_observer(rtt, agent)
+        rtt = network.observe_rtt(float(rtts[index]), agent)
         decision = agent.filter_cascade.evaluate(
             reception, agent.position, rtt, receiver_knows_location=False
         )
@@ -211,14 +205,19 @@ def _batched_seed(
     """
     lx = axs[:, -1]
     ly = ays[:, -1]
-    d_last = ranges[:, -1]
+    # The scalar seed squares the last anchor's coordinates and range as
+    # NumPy *scalars*, which goes through libm ``pow`` — on rare inputs
+    # 1 ulp away from the correctly rounded ``x * x`` an array ``** 2``
+    # computes. Square those per row as scalars too.
+    d_last_sq = np.array([d**2 for d in ranges[:, -1]])
+    last_sq = np.array([x**2 + y**2 for x, y in zip(lx, ly)])
     mx = 2.0 * (lx[:, None] - axs[:, :-1])
     my = 2.0 * (ly[:, None] - ays[:, :-1])
     b_rows = (
         ranges[:, :-1] ** 2
-        - (d_last**2)[:, None]
+        - d_last_sq[:, None]
         - (axs[:, :-1] ** 2 + ays[:, :-1] ** 2)
-        + (lx**2 + ly**2)[:, None]
+        + last_sq[:, None]
     )
     p = np.sum(mx * mx, axis=1)
     q = np.sum(mx * my, axis=1)

@@ -64,7 +64,9 @@ def turbo_supported(pipeline) -> bool:
     randomness per copy and nothing ever crashes mid-phase), the
     default bounded-uniform ranging model (recognizable by its
     ``max_error_ft`` tag), out-of-range unicasts configured to drop
-    rather than raise, and the stock probabilistic wormhole detector.
+    rather than raise, the stock probabilistic wormhole detector, and
+    the ``paper`` detector (no shared rival ``pipeline.detector``: the
+    verdict kernel is the paper's §2.1+§2.2 cascade written as arrays).
     A positive false-alarm rate is supported: the verdict kernel then
     walks the evaluated batch in delivery order so the per-clean-copy
     coins interleave with the sticky tunnel coins exactly as the scalar
@@ -73,7 +75,7 @@ def turbo_supported(pipeline) -> bool:
     handles the general envelope.
     """
     network = pipeline.network
-    if network is None:
+    if network is None or pipeline.detector is not None:
         return False
     if network.loss_model is not None or network.fault_injector is not None:
         return False

@@ -59,8 +59,8 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--vec-scenarios",
         type=int,
-        default=8,
-        help="vectorized-core bit-identity scenarios (default: 8)",
+        default=40,
+        help="vectorized-core bit-identity scenarios (default: 40)",
     )
     parser.add_argument(
         "--seed", type=int, default=0, help="master scenario seed (default: 0)"

@@ -422,12 +422,17 @@ def differential_vectorized_core(
     """Bit-identity of the vectorized batch core against the scalar path.
 
     Each scenario builds one small randomized deployment and runs it
-    twice — ``use_vectorized_core`` off and on — cycling the wormhole
-    axis every scenario and the delivery envelope every other one
-    (clean, injected faults, link loss, probabilistic false alarms), so
-    both tiers of the batch path are exercised: the fully array-built
-    turbo tier on clean and false-alarm configurations and the
-    per-delivery replay tier under faults/loss.
+    twice — ``use_vectorized_core`` off and on. Three axes cycle
+    independently: the wormhole every scenario, and — every other
+    scenario — the delivery envelope (clean, injected faults, link
+    loss, probabilistic false alarms, loss + RTT jitter + node crashes)
+    and the detector (every registered one). While the envelope and
+    detector cycle lengths are coprime (5 envelopes, 4 detectors),
+    ``2 * 5 * len(available_detectors())`` scenarios — the suite
+    default, 40 — cover the full cross product. Both tiers of the batch
+    path are exercised: the fully array-built turbo tier (``paper`` on
+    clean and false-alarm configurations) and the per-delivery replay
+    tier (faults, loss and every rival detector).
     The complete ``PipelineResult`` objects must compare equal — every
     rate, every localization error, every affected-node id, to the
     last bit. "Tolerance-identical" for this substrate *is* exact
@@ -438,13 +443,34 @@ def differential_vectorized_core(
     import dataclasses as _dc
 
     from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
+    from repro.detectors import available_detectors
     from repro.faults.config import FaultConfig
 
+    envelopes = (
+        {},
+        dict(
+            faults=FaultConfig(
+                packet_loss_rate=0.05,
+                delivery_delay_rate=0.1,
+                delivery_delay_cycles=1500.0,
+                rtt_jitter_cycles=40.0,
+            )
+        ),
+        dict(network_loss_rate=0.1),
+        None,  # probabilistic false alarms, rate drawn per scenario
+        dict(
+            faults=FaultConfig(
+                packet_loss_rate=0.05,
+                rtt_jitter_cycles=750.0,
+                node_crash_rate=0.1,
+            )
+        ),
+    )
+    detectors = available_detectors()
     report = DifferentialReport("vectorized_core", scenarios)
     for i in range(scenarios):
         rng = _rng(seed, "veccore", i)
-        # 0: clean, 1: faulted, 2: lossy, 3: probabilistic false alarms
-        envelope = (i // 2) % 4
+        envelope = envelopes[(i // 2) % len(envelopes)]
         kwargs = dict(
             n_total=rng.randint(40, 70),
             n_beacons=rng.randint(8, 14),
@@ -458,19 +484,15 @@ def differential_vectorized_core(
             wormhole_endpoints=(
                 ((100.0, 100.0), (400.0, 350.0)) if i % 2 == 0 else None
             ),
+            detector=detectors[(i // 2) % len(detectors)],
         )
-        if envelope == 1:
-            kwargs["faults"] = FaultConfig(
-                packet_loss_rate=0.05,
-                delivery_delay_rate=0.1,
-                delivery_delay_cycles=1500.0,
-                rtt_jitter_cycles=40.0,
-            )
-        elif envelope == 2:
-            kwargs["network_loss_rate"] = 0.1
-        elif envelope == 3:
+        if envelope is None:
             kwargs["wormhole_false_alarm_rate"] = rng.choice([0.05, 0.2])
-        scalar = SecureLocalizationPipeline(PipelineConfig(**kwargs)).run()
+        else:
+            kwargs.update(envelope)
+        scalar = SecureLocalizationPipeline(
+            PipelineConfig(**kwargs, use_vectorized_core=False)
+        ).run()
         vectorized = SecureLocalizationPipeline(
             PipelineConfig(**kwargs, use_vectorized_core=True)
         ).run()
@@ -484,7 +506,8 @@ def differential_vectorized_core(
                 Divergence(
                     "vectorized_core",
                     i,
-                    f"scalar/vectorized results differ on {diff_fields}",
+                    f"{kwargs['detector']}: scalar/vectorized results "
+                    f"differ on {diff_fields}",
                 )
             )
     return report
@@ -504,7 +527,7 @@ def run_differential_suite(
     seed: int = 0,
     *,
     axes_scenarios: int = 4,
-    vec_scenarios: int = 8,
+    vec_scenarios: int = 40,
 ) -> List[DifferentialReport]:
     """Run every differential component plus the whole-pipeline checks.
 

@@ -10,8 +10,9 @@ differently and shows up here immediately.
 
 The remaining tests pin the arena-wide seams: every registered detector
 is deterministic under a fixed seed and insensitive to worker count,
-rivals run on the scalar path (the vectorized core refuses them), and
-fault injection composes with rival detectors deterministically.
+every detector is admitted to the vectorized core but only ``paper``
+reaches its array-built turbo tier, and fault injection composes with
+rival detectors deterministically.
 """
 
 import pytest
@@ -22,6 +23,7 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentRunner, collect_metrics
 from repro.faults import FaultConfig
 from repro.vec import vectorized_core_supported
+from repro.vec.turbo import turbo_supported
 
 #: The pre-refactor capture deployment.
 SMALL = dict(
@@ -135,13 +137,18 @@ class TestEveryDetectorDeterministic:
 
 
 class TestRivalsStayScalar:
+    """Rivals judge exchanges with their scalar ``evaluate``, never turbo."""
+
     @pytest.mark.parametrize("name", available_detectors())
     def test_vectorized_core_gate(self, name):
         config = PipelineConfig(detector=name, seed=0, **TINY)
-        # The gate may admit only the paper detector (and then only when
-        # numpy and the rest of the parity rules allow it).
-        if name != "paper":
-            assert not vectorized_core_supported(config)
+        # Every detector is admitted to the vec core (its replay tier)...
+        assert vectorized_core_supported(config)
+        # ...but the array-built turbo tier is the paper cascade, so it
+        # admits only the paper detector.
+        pipeline = SecureLocalizationPipeline(config)
+        pipeline.build()
+        assert turbo_supported(pipeline) == (name == "paper")
 
     def test_unknown_detector_rejected_at_config_time(self):
         with pytest.raises(ConfigurationError, match="detector"):

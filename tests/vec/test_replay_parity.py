@@ -5,16 +5,22 @@ statistically similar ones — the RNG stream-parity rules in
 ``docs/PERFORMANCE.md`` are what make that possible. These tests run
 small deployments through both cores across the envelope axes that
 select different vec tiers (fault-free wormhole configs take the turbo
-tier; loss and fault envelopes take the per-delivery replay tier) and
-compare the results with ``==``.
+tier; loss and fault envelopes, and every rival detector, take the
+per-delivery replay tier) and compare the results with ``==``.
 """
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
+from repro.detectors import available_detectors
 from repro.faults.config import FaultConfig
+from repro.localization.multilateration import mmse_multilaterate
+from repro.localization.references import LocationReference
+from repro.utils.geometry import Point
+from repro.vec.localization import batched_estimate_errors
 
 BASE = PipelineConfig(
     n_total=120,
@@ -70,9 +76,17 @@ def _run(config, *, vectorized):
     return pipeline, pipeline.run()
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_vectorized_core_reproduces_scalar_trial(name):
-    config = CASES[name]
+#: Rival detectors skip the turbo tier: every envelope, the clean one
+#: included, replays per delivery and judges each reply through the
+#: detector's scalar ``evaluate``.
+RIVAL_ENVELOPES = {
+    "clean": BASE,
+    "faults": replace(BASE, faults=FAULTS),
+    "loss": replace(BASE, network_loss_rate=0.12),
+}
+
+
+def _assert_parity(config):
     scalar_pipeline, scalar_result = _run(config, vectorized=False)
     vec_pipeline, vec_result = _run(config, vectorized=True)
 
@@ -100,8 +114,26 @@ def test_vectorized_core_reproduces_scalar_trial(name):
     assert [a.rejected_replays for a in vec_pipeline.agents] == [
         a.rejected_replays for a in scalar_pipeline.agents
     ]
-    # The simulated clock advanced to the same cycle in both worlds.
+    # The simulated clock advanced to the same cycle in both worlds,
+    # through the same number of (emulated) events.
     assert vec_pipeline.engine.now() == scalar_pipeline.engine.now()
+    assert (
+        vec_pipeline.engine.events_processed
+        == scalar_pipeline.engine.events_processed
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_vectorized_core_reproduces_scalar_trial(name):
+    _assert_parity(CASES[name])
+
+
+@pytest.mark.parametrize("envelope", sorted(RIVAL_ENVELOPES))
+@pytest.mark.parametrize(
+    "detector", [d for d in available_detectors() if d != "paper"]
+)
+def test_rival_detector_replay_reproduces_scalar_trial(detector, envelope):
+    _assert_parity(replace(RIVAL_ENVELOPES[envelope], detector=detector))
 
 
 def test_turbo_tier_engaged_on_fault_free_config():
@@ -133,3 +165,39 @@ def test_turbo_tier_engaged_on_fault_free_config():
     )
     false_alarm.build()
     assert turbo_supported(false_alarm)
+
+
+#: One agent's distinct references (beacon id, x, y, measured range)
+#: from ``PipelineConfig(seed=481967354)``. Squaring the last anchor's
+#: x coordinate through libm ``pow`` (the scalar seed's NumPy-scalar
+#: ``** 2``) lands 1 ulp away from the correctly rounded ``x * x``.
+POW_SENSITIVE_REFERENCES = (
+    (12, 48.25145786747076, 101.16797640930264, 143.34521802614694),
+    (28, 118.28073440761055, 194.47727669744685, 124.703341614928),
+    (29, 73.12215891255369, 122.21815515414592, 145.06460102537736),
+    (60, 15.198930579774173, 389.50322887966337, 155.8624324847048),
+    (65, 59.87991820216554, 233.72301076175938, 45.700692816499625),
+    (88, 100.35616153679582, 156.88580555508048, 119.91374364673595),
+)
+
+
+def test_batched_solver_matches_scalar_on_pow_sensitive_seed():
+    refs = [
+        LocationReference(
+            beacon_id=beacon_id,
+            beacon_location=Point(x, y),
+            measured_distance_ft=measured,
+        )
+        for beacon_id, x, y, measured in POW_SENSITIVE_REFERENCES
+    ]
+    agent = SimpleNamespace(references=refs, estimated_position=None)
+    agent.location_error_ft = lambda: 0.0
+    batched_estimate_errors([agent])
+    assert agent.estimated_position == mmse_multilaterate(refs).position
+
+
+@pytest.mark.slow
+def test_default_deployment_turbo_trial_matches_scalar_to_the_bit():
+    # The full Section 4 deployment on the turbo tier, at the seed whose
+    # localization phase meets the pow-sensitive references above.
+    _assert_parity(PipelineConfig(seed=481967354))
