@@ -14,6 +14,10 @@ like a fast one:
   scalar event-driven reference. The ``PipelineResult`` objects must
   compare equal to the last bit, and the speedup is asserted
   >= 10x (``--quick`` smoke mode relaxes the floor, not the equality).
+- **faulted trial**: the same comparison on a lossy, jittery channel
+  (5% packet loss, 750-cycle RTT jitter), which the vectorized core
+  runs on its array-built turbo tier too. Equality is asserted; the
+  speedup is recorded but has no floor.
 
 Every measurement lands in ``BENCH_pipeline.json`` at the repo root so
 future PRs have a perf trajectory to compare against; per-phase cost
@@ -31,6 +35,7 @@ import time
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
 from repro.experiments.series import FigureData
+from repro.faults import FaultConfig
 
 BASELINE_PATH = pathlib.Path(__file__).resolve().parent.parent / "BENCH_pipeline.json"
 
@@ -52,6 +57,9 @@ QUICK_TRIAL_CONFIG = PipelineConfig(
     rtt_calibration_samples=300,
     seed=11,
 )
+
+#: The faulted-trial channel: the ``arena_faults`` benchmark's faults.
+TRIAL_FAULTS = FaultConfig(packet_loss_rate=0.05, rtt_jitter_cycles=750.0)
 
 ASSERTED_REACHABILITY_SPEEDUP = 3.0
 ASSERTED_FULL_TRIAL_SPEEDUP = 10.0
@@ -235,4 +243,46 @@ def test_full_trial_speedup(save_figure, quick):
     assert scalar_s / vec_s >= ASSERTED_FULL_TRIAL_SPEEDUP, (
         f"vectorized core only {scalar_s / vec_s:.2f}x faster "
         f"(need >= {ASSERTED_FULL_TRIAL_SPEEDUP}x)"
+    )
+
+
+def test_faulted_trial_identity(save_figure, quick):
+    """End-to-end trial on a lossy, jittery channel: vec == scalar.
+
+    Loss and RTT jitter are drawn as array masks on the turbo tier, so
+    this is the faulted twin of :func:`test_full_trial_speedup`: the
+    two cores' ``PipelineResult`` objects must compare equal before any
+    clock is read. The speedup is recorded, not asserted.
+    """
+    base = QUICK_TRIAL_CONFIG if quick else TRIAL_CONFIG
+    scalar_config = dataclasses.replace(base, faults=TRIAL_FAULTS)
+    vec_config = dataclasses.replace(scalar_config, use_vectorized_core=True)
+
+    scalar_s, scalar_result = _best_of(
+        lambda: SecureLocalizationPipeline(scalar_config).run(),
+        repeats=1 if quick else 2,
+    )
+    vec_s, vec_result = _best_of(
+        lambda: SecureLocalizationPipeline(vec_config).run(),
+        repeats=2 if quick else 3,
+    )
+
+    assert vec_result == scalar_result
+    if quick:
+        return
+
+    entry = _record_baseline("faulted_trial", vec_s, scalar_s)
+    save_figure(
+        _speedup_figure(
+            "perf_faulted_trial",
+            "Faulted trial (5% loss, 750-cycle jitter): scalar vs vectorized",
+            vec_s,
+            scalar_s,
+            notes=(
+                f"{scalar_config.n_total} nodes, "
+                f"{scalar_config.n_beacons} beacons, wormhole on; "
+                f"bit-identical results; speedup {entry['speedup']}x"
+            ),
+            x_label="path (1=scalar core, 2=vectorized core)",
+        )
     )

@@ -324,6 +324,9 @@ class SecureLocalizationPipeline:
         #: noise/RTT draws batched); folded into observability at
         #: finalize and into :meth:`profile_snapshot` as ``vec_*``.
         self._vec_counters: Dict[str, int] = {}
+        #: The vec tier each batched phase took (``"turbo"`` or
+        #: ``"replay"``), keyed by phase; empty on the scalar path.
+        self._vec_tiers: Dict[str, str] = {}
         #: Per-phase wall clock + hot-path counters; populated by
         #: :meth:`run` and read back via :meth:`profile_snapshot`.
         self.profile = PhaseProfile()

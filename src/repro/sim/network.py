@@ -674,16 +674,7 @@ class Network:
             extra_delay_cycles=extra_delay_cycles,
             start_time=start_time,
         )
-        return self.observe_rtt(sample.rtt, requester)
-
-    def observe_rtt(self, rtt: float, requester: Node) -> float:
-        """Turn one raw RTT sample into ``requester``'s observation.
-
-        Applies the fault injector's RTT perturbation (jitter, spikes,
-        clock drift) and then the ``rtt_observer`` hook — the half of
-        :meth:`measure_rtt` the batched kernels share after drawing the
-        raw samples themselves.
-        """
+        rtt = sample.rtt
         injector = self.fault_injector
         if injector is not None and injector.perturbs_rtt():
             rtt = injector.perturb_rtt(rtt, observer_id=requester.node_id)

@@ -44,11 +44,15 @@ def vectorized_core_supported(config) -> bool:
     - an ``max_events`` budget needs per-event accounting to stop
       mid-phase.
 
-    Those run on the scalar oracle path unchanged. Rival detectors
-    (``config.detector != "paper"``) are admitted but always take the
-    per-delivery replay tier, judging each reply through the scalar
-    ``Detector.evaluate``; only ``paper`` reaches the array-built turbo
-    tier (:func:`repro.vec.turbo.turbo_supported`). The predicate is
+    Those run on the scalar oracle path unchanged. Inside the envelope
+    each phase picks its tier (:func:`repro.vec.turbo.turbo_supported`):
+    the array-built turbo tier on clean or lossy, jittery channels
+    (network loss, fault loss and delay, RTT jitter/spikes, clock
+    drift), and the per-delivery replay tier under packet duplication
+    or node crashes. Every detector localizes on turbo there; only
+    ``paper`` also detects on turbo, while rival detectors
+    (``config.detector != "paper"``) detect on replay, judging each
+    reply through the scalar ``Detector.evaluate``. The predicate is
     duck-typed on the config attributes so it never imports the
     pipeline module.
     """

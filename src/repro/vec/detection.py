@@ -12,13 +12,20 @@ processed with batched kernels:
 - one :func:`~repro.vec.measurement.batched_rtt` call over exactly the
   inconsistent replies, in reply order — the same draws the scalar
   path's per-reply ``measure_rtt`` would make;
-- the replay-filter cascade, fault RTT perturbation, alert reporting,
-  and base-station revocation run on the *real* objects, per reply, in
-  the scalar order, so every probabilistic detector draw and every
-  revocation stays bit-identical.
+- the fault RTT perturbation as one batch over those observations
+  (:func:`~repro.vec.measurement.observe_rtts`);
+- the replay-filter cascade, alert reporting, and base-station
+  revocation run on the *real* objects, per reply, in the scalar
+  order, so every probabilistic detector draw and every revocation
+  stays bit-identical.
 
-Rival detectors (``PipelineConfig.detector != "paper"``) skip the
-batched kernels: each reply goes through the beacon's own
+That is the replay tier. ``paper`` detection takes the array-built
+turbo tier (:func:`repro.vec.turbo.run_detection_turbo`) wherever
+:func:`~repro.vec.turbo.turbo_supported` admits it — clean and lossy,
+jittery channels — and replays per delivery only under packet
+duplication or node crashes. Rival detectors
+(``PipelineConfig.detector != "paper"``) always detect on replay and
+skip the batched kernels: each reply goes through the beacon's own
 :meth:`~repro.core.detecting.DetectingBeacon.judge_reply`, in reply
 order, whose lazy RTT provider makes exactly the scalar
 ``Network.measure_rtt`` draws at the reply's arrival time.
@@ -34,7 +41,7 @@ from repro.core.replay_filter import FilterDecision
 from repro.sim.messages import BeaconRequest
 from repro.sim.radio import Reception
 from repro.utils.geometry import distance
-from repro.vec.measurement import batched_rtt, discrepancy_mask
+from repro.vec.measurement import batched_rtt, discrepancy_mask, observe_rtts
 from repro.vec.replay import Delivery, PhaseReplay
 
 
@@ -44,14 +51,18 @@ def run_detection_vectorized(pipeline) -> None:
     Produces the same probe outcomes, alerts, revocations, traces, and
     stream states as the scalar phase (exactly — see the parity rules
     in ``docs/PERFORMANCE.md``), without materializing engine events.
-    Fault-free configurations take the fully array-built turbo tier;
-    everything else replays per delivery.
+    ``paper`` detection takes the fully array-built turbo tier where
+    :func:`~repro.vec.turbo.turbo_supported` admits it; everything else
+    replays per delivery. The tier taken is recorded in
+    ``pipeline._vec_tiers["detection"]``.
     """
     from repro.vec.turbo import run_detection_turbo, turbo_supported
 
-    if turbo_supported(pipeline):
+    if turbo_supported(pipeline, "detection"):
+        pipeline._vec_tiers["detection"] = "turbo"
         run_detection_turbo(pipeline)
         return
+    pipeline._vec_tiers["detection"] = "replay"
     replay = PhaseReplay(pipeline)
     t0 = pipeline.engine.now()
     for beacon in pipeline.benign_beacons:
@@ -125,6 +136,9 @@ def _process_probe_replies(
         [entry.time for entry, _ in inconsistent],
     )
     pipeline._vec_bump("rtt_batched", len(inconsistent))
+    observed = observe_rtts(
+        network, rtts, [entry.dst for entry, _ in inconsistent]
+    )
     next_rtt = 0
     for index, (entry, reception) in enumerate(delivered):
         beacon = entry.dst
@@ -135,7 +149,7 @@ def _process_probe_replies(
                 signal_consistent=True, time=entry.time,
             )
             continue
-        rtt = network.observe_rtt(float(rtts[next_rtt]), beacon)
+        rtt = observed[next_rtt]
         next_rtt += 1
         decision = beacon.filter_cascade.evaluate(
             reception, beacon.position, rtt, receiver_knows_location=True

@@ -1,10 +1,15 @@
 """Batched localization phase and Gauss-Newton multilateration.
 
 The request/reply exchange mirrors the scalar
-``run_localization``/``NonBeaconAgent`` flow through the replay engine
-(revoked-beacon filtering first — it precedes the RTT draw in the
-scalar handler — then one batched RTT draw over the surviving replies
-in reply order, then the real filter cascade per reply). Position
+``run_localization``/``NonBeaconAgent`` flow. It takes the array-built
+turbo tier (:func:`repro.vec.turbo.run_localization_turbo`) for every
+detector — the phase never consults ``pipeline.detector`` — on clean
+and lossy, jittery channels alike, and replays per delivery only under
+packet duplication or node crashes. Either tier filters revoked
+beacons first (it precedes the RTT draw in the scalar handler), then
+draws one RTT batch over the surviving replies in reply order, perturbs
+it as one batch (:func:`~repro.vec.measurement.observe_rtts`), and runs
+the real filter cascade per reply. Position
 solving groups agents by reference count and runs every group through
 one batched Gauss-Newton: because the scalar solver in
 :mod:`repro.localization.multilateration` does all of its linear
@@ -33,7 +38,7 @@ from repro.localization.multilateration import (
 from repro.sim.messages import BeaconRequest
 from repro.utils.geometry import Point
 from repro.utils.geometry import distance
-from repro.vec.measurement import batched_rtt
+from repro.vec.measurement import batched_rtt, observe_rtts
 from repro.vec.replay import PhaseReplay
 
 #: Gauss-Newton iteration cap (matches the scalar solver's default).
@@ -48,14 +53,19 @@ def run_localization_vectorized(pipeline) -> None:
     Gathers references with exact draw parity; estimation itself is
     deferred to :func:`batched_estimate_errors`, which the pipeline's
     metrics phase calls (as the scalar path does via
-    ``estimate_position``). Fault-free configurations take the fully
-    array-built turbo tier; everything else replays per delivery.
+    ``estimate_position``). Configurations
+    :func:`~repro.vec.turbo.turbo_supported` admits take the fully
+    array-built turbo tier, whatever the detector; everything else
+    replays per delivery. The tier taken is recorded in
+    ``pipeline._vec_tiers["localization"]``.
     """
     from repro.vec.turbo import run_localization_turbo, turbo_supported
 
-    if turbo_supported(pipeline):
+    if turbo_supported(pipeline, "localization"):
+        pipeline._vec_tiers["localization"] = "turbo"
         run_localization_turbo(pipeline)
         return
+    pipeline._vec_tiers["localization"] = "replay"
     replay = PhaseReplay(pipeline)
     t0 = pipeline.engine.now()
     for agent in pipeline.agents:
@@ -92,9 +102,9 @@ def run_localization_vectorized(pipeline) -> None:
         [entry.time for entry, _ in kept],
     )
     pipeline._vec_bump("rtt_batched", len(kept))
-    for index, (entry, reception) in enumerate(kept):
+    observed = observe_rtts(network, rtts, [entry.dst for entry, _ in kept])
+    for (entry, reception), rtt in zip(kept, observed):
         agent = entry.dst
-        rtt = network.observe_rtt(float(rtts[index]), agent)
         decision = agent.filter_cascade.evaluate(
             reception, agent.position, rtt, receiver_knows_location=False
         )

@@ -149,6 +149,79 @@ def batched_calibration_rtts(
     return rtts.tolist()
 
 
+def batched_rtt_perturbation(
+    rtts: np.ndarray, observer_ids, *, jitter=None, drift=None
+) -> np.ndarray:
+    """``FaultInjector.perturb_rtt`` over a batch, bit-identical.
+
+    Per observation, in order: ``drift.skew`` scales the interval by the
+    observer's ``1 + drift`` (per-node, stream-free), then
+    ``jitter.perturb`` adds ``uniform(-j, j)`` (when ``j > 0``) and a
+    spike when its coin lands (when the spike rate is positive), and
+    clamps at zero as ``max(0.0, x)`` does. Each observation draws the
+    same one or two raws from ``jitter.rng`` that the scalar method
+    draws, so the stream advances exactly as ``n`` scalar calls would,
+    and the models' ``events``/``spikes`` counters advance by the batch.
+
+    Args:
+        rtts: ``(n,)`` raw RTT samples, in observation order.
+        observer_ids: ``(n,)`` requester node ids (drift is per node).
+        jitter: the injector's :class:`~repro.faults.models.RttJitterFault`.
+        drift: the injector's :class:`~repro.faults.models.ClockDriftFault`.
+    """
+    out = np.asarray(rtts, dtype=np.float64)
+    n = out.shape[0]
+    if drift is not None:
+        ids, inverse = np.unique(
+            np.asarray(observer_ids, dtype=np.int64), return_inverse=True
+        )
+        factors = np.array(
+            [1.0 + drift.drift_of(node_id) for node_id in ids.tolist()],
+            dtype=np.float64,
+        )
+        out = out * factors[inverse]
+        drift.events += n
+    if jitter is not None:
+        jitter.events += n
+        columns = (jitter.jitter_cycles > 0) + (jitter.spike_rate > 0)
+        raws = raw_uniforms(jitter.rng, columns * n).reshape(n, columns)
+        if jitter.jitter_cycles > 0:
+            low = -jitter.jitter_cycles
+            out = out + (low + (jitter.jitter_cycles - low) * raws[:, 0])
+        if jitter.spike_rate > 0:
+            spiked = raws[:, -1] < jitter.spike_rate
+            jitter.spikes += int(np.count_nonzero(spiked))
+            out = np.where(spiked, out + jitter.spike_cycles, out)
+        # Python's max(0.0, x): x only when strictly positive.
+        out = np.where(out > 0.0, out, 0.0)
+    return out
+
+
+def observe_rtts(network, rtts: np.ndarray, requesters) -> list:
+    """The observing half of ``Network.measure_rtt``, over a batch.
+
+    Turns raw RTT samples into the requesters' observations: the
+    network's fault perturbation with :func:`batched_rtt_perturbation`
+    (observations in batch order, the order the scalar path observes
+    them), then every observed value to the ``rtt_observer`` hook with
+    its requester node. Returns the observations as a list.
+    """
+    injector = network.fault_injector
+    if injector is not None and injector.perturbs_rtt():
+        rtts = batched_rtt_perturbation(
+            rtts,
+            [node.node_id for node in requesters],
+            jitter=injector.rtt,
+            drift=injector.drift,
+        )
+    observed = np.asarray(rtts, dtype=np.float64).tolist()
+    observer = network.rtt_observer
+    if observer is not None:
+        for rtt, node in zip(observed, requesters):
+            observer(rtt, node)
+    return observed
+
+
 def discrepancy_mask(
     calculated_ft: np.ndarray,
     measured_ft: np.ndarray,

@@ -1,32 +1,42 @@
-"""Array-built delivery waves for fault-free configurations.
+"""Array-built delivery waves for clean and lossy, jittery channels.
 
 :class:`~repro.vec.replay.PhaseReplay` removes the event queue but
-still walks every delivery in Python. In the *fault-free* envelope —
-no loss model, no fault injector — every per-copy draw it performs at
-scheduling time disappears, and a whole wave collapses into pure
-array arithmetic: exact pairwise geometry picks the copies (direct
-plus tunnelled, in the scalar ``unicast`` order), one elementwise
-expression computes every arrival time, one stable argsort recovers
-the engine's ``(time, seq)`` delivery order, and the ranging-noise /
-RTT batches consume their streams exactly as the scalar loop would.
+still walks every delivery in Python. Wherever every per-copy draw is
+a coin or a delay with no feedback into scheduling, a whole wave
+collapses into array arithmetic: exact pairwise geometry picks the
+copies (direct plus tunnelled, in the scalar ``unicast`` order), the
+channel's draws become masks — one ``"network-loss"`` batch over the
+scheduled copies, one fault-loss batch over their survivors, one
+fault-delay and one ranging-noise batch over the delivered copies,
+each on its own stream in scheduling order — one elementwise
+expression computes every arrival time, and one stable argsort
+recovers the engine's ``(time, seq)`` delivery order. The reply wave is
+scheduled in the request wave's delivery order. The RTT batch and its
+fault perturbation (clock drift, jitter, spikes) run over exactly the
+RTT observations, in reply order
+(:func:`~repro.vec.measurement.observe_rtts`). Packet duplication
+(a copy re-enters scheduling) and node crashes (judged at arrival
+time) have no mask form; those configurations stay on the replay
+tier, see :func:`turbo_supported`.
 
 Python survives only where the scalar path is genuinely stateful per
 item, and each of those loops runs over a small subset in delivery
 order: malicious responders (sticky strategy draws), first-seen
 wormhole pair verdicts (sticky detector coin flips), probe-outcome and
-alert recording, and accepted reference construction. All distances
-that feed protocol decisions or measurements are computed with the
-correctly rounded scalar ``math.hypot``, so every float matches the
-scalar run bit for bit.
+alert recording, drop traces, and accepted reference construction.
+All distances that feed protocol decisions or measurements are
+computed with the correctly rounded scalar ``math.hypot``, so every
+float matches the scalar run bit for bit.
 
 One deliberate fidelity cut, documented in ``docs/PERFORMANCE.md``:
 this tier does not record per-delivery ``"deliver"`` trace events
 (no protocol logic, invariant check, or metric consumes them; the
-scalar and replay tiers keep them). The profiling counters
-(``stats.distance_evals``, ``stats.spatial_queries``) are credited
-with the batch kernels' actual work, which differs from the scalar
-grid-walk counts. Configs that need full per-event traces must run
-with ``use_vectorized_core=False``.
+scalar and replay tiers keep them). Drops (``drop.loss``,
+``drop.fault``, ``drop.out_of_range``) are recorded with the scalar
+fields. The profiling counters (``stats.distance_evals``,
+``stats.spatial_queries``) are credited with the batch kernels' actual
+work, which differs from the scalar grid-walk counts. Configs that
+need full per-event traces must run with ``use_vectorized_core=False``.
 
 Paper section: §4 (simulation substrate for the batched pipeline)
 """
@@ -52,21 +62,34 @@ from repro.vec.measurement import (
     batched_rtt,
     batched_uniform,
     discrepancy_mask,
+    observe_rtts,
+    raw_uniforms,
 )
 from repro.wormhole.detector import ProbabilisticWormholeDetector
 
 
-def turbo_supported(pipeline) -> bool:
-    """True when the fully array-built wave path applies.
+#: The phases a turbo wave pair runs, as :func:`turbo_supported` names them.
+PHASES = ("detection", "localization")
+
+
+def turbo_supported(pipeline, phase: str) -> bool:
+    """True when ``phase`` can run as array-built waves.
 
     Requirements on top of :func:`repro.vec.vectorized_core_supported`:
-    no link-loss model and no fault injector (scheduling then draws no
-    randomness per copy and nothing ever crashes mid-phase), the
-    default bounded-uniform ranging model (recognizable by its
-    ``max_error_ft`` tag), out-of-range unicasts configured to drop
-    rather than raise, the stock probabilistic wormhole detector, and
-    the ``paper`` detector (no shared rival ``pipeline.detector``: the
-    verdict kernel is the paper's §2.1+§2.2 cascade written as arrays).
+    no packet-duplication or node-crash fault (a duplicate re-enters
+    scheduling and a crash is judged at arrival time, so neither is a
+    per-copy mask), the default bounded-uniform ranging model
+    (recognizable by its ``max_error_ft`` tag), out-of-range unicasts
+    configured to drop rather than raise, and the stock probabilistic
+    wormhole detector. Network loss, fault loss, fault delivery delay,
+    RTT jitter/spikes and clock drift are admitted: :class:`_Wave` and
+    :func:`~repro.vec.measurement.observe_rtts` draw them as batches on
+    their own streams, in the scalar order.
+
+    Only ``"detection"`` also requires the ``paper`` detector (no shared
+    rival ``pipeline.detector``): its verdict kernel is the paper's
+    §2.1+§2.2 cascade written as arrays. Localization never consults
+    ``pipeline.detector``, so it takes turbo for every detector.
     A positive false-alarm rate is supported: the verdict kernel then
     walks the evaluated batch in delivery order so the per-clean-copy
     coins interleave with the sticky tunnel coins exactly as the scalar
@@ -74,10 +97,17 @@ def turbo_supported(pipeline) -> bool:
     Anything else falls back to the per-delivery replay engine, which
     handles the general envelope.
     """
+    if phase not in PHASES:
+        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
     network = pipeline.network
-    if network is None or pipeline.detector is not None:
+    if network is None:
         return False
-    if network.loss_model is not None or network.fault_injector is not None:
+    if phase == "detection" and pipeline.detector is not None:
+        return False
+    injector = network.fault_injector
+    if injector is not None and (
+        injector.duplication is not None or injector.crash is not None
+    ):
         return False
     if not network.drop_out_of_range:
         return False
@@ -183,10 +213,14 @@ class _Wave:
     The constructor performs what ``unicast`` + ``_schedule_delivery``
     + ``close_wave`` do for every packet of a wave: copy expansion in
     scheduling order (direct first, then one tunnelled copy per
-    wormhole, packet-major), exact delays, the wave's ranging-noise
-    batch, and the stable ``(time, seq)`` delivery sort.
+    wormhole, packet-major), the channel's per-copy draws as masks
+    (:func:`_channel_survivors`, then the fault delivery delay), exact
+    delays, the wave's ranging-noise batch, and the stable
+    ``(time, seq)`` delivery sort. Each of those draws is one batch on
+    its own stream over exactly the copies the scalar path draws it
+    for, in scheduling order: a dropped copy draws nothing further.
 
-    Attributes (all per *copy*, in scheduling order):
+    Attributes (all per *delivered* copy, in scheduling order):
         packet: index into the wave's logical-packet arrays.
         dst_row: receiving node row.
         dist: physical emitter-to-receiver distance (exact; for a
@@ -211,6 +245,7 @@ class _Wave:
         direct_dist: np.ndarray,
         extras: np.ndarray,
         biases: np.ndarray,
+        src_ids: np.ndarray,
     ) -> None:
         view = field.view
         count = origin_rows.shape[0]
@@ -252,15 +287,31 @@ class _Wave:
         flat = valid.ravel()
         self.packet = np.repeat(np.arange(count), slots)[flat]
         self.via_wormhole = np.tile(np.arange(slots) > 0, count)[flat]
-        self.dst_row = dst_rows[self.packet]
         self.dist = dists.ravel()[flat]
         self.extra = extra_m.ravel()[flat]
         self.undelivered = np.flatnonzero(~valid.any(axis=1))
+        survivors = _channel_survivors(
+            field, packet_cls.__name__, now, self.packet, dst_rows, src_ids
+        )
+        if survivors is not None:
+            self.packet = self.packet[survivors]
+            self.via_wormhole = self.via_wormhole[survivors]
+            self.dist = self.dist[survivors]
+            self.extra = self.extra[survivors]
+        self.dst_row = dst_rows[self.packet]
         # Scalar delay chain, elementwise: packet_time = airtime +
-        # dist / c; delay = packet_time + extra; time = now + delay.
+        # dist / c; delay = packet_time + extra (+ fault delay); time =
+        # now + delay.
         airtime = field.radio.airtime_cycles(packet_cls(src_id=0, dst_id=0))
         packet_time = airtime + self.dist / SPEED_OF_LIGHT_FT_PER_CYCLE
-        self.time = now[self.packet] + (packet_time + self.extra)
+        delay = packet_time + self.extra
+        injector = field.network.fault_injector
+        fault = injector.delay if injector is not None else None
+        if fault is not None and fault.rate > 0:
+            delayed = raw_uniforms(fault.rng, self.count) < fault.rate
+            fault.events += int(np.count_nonzero(delayed))
+            delay = delay + np.where(delayed, fault.delay_cycles, 0.0)
+        self.time = now[self.packet] + delay
         # The wave's ranging-noise batch, in scheduling order; measured
         # is the scalar max(0, dist + noise + bias) elementwise.
         model = field.network.ranging_error
@@ -280,8 +331,62 @@ class _Wave:
 
     @property
     def count(self) -> int:
-        """Number of scheduled (= delivered) copies."""
+        """Number of delivered copies."""
         return int(self.dist.shape[0])
+
+
+def _channel_survivors(
+    field: _Field,
+    kind: str,
+    now: np.ndarray,
+    packet: np.ndarray,
+    dst_rows: np.ndarray,
+    src_ids: np.ndarray,
+):
+    """The loss head of ``_schedule_delivery`` over a wave's copies.
+
+    One ``"network-loss"`` coin per scheduled copy, then one fault-loss
+    coin per copy that survived it, each batch in scheduling order on
+    its model's own stream. Model counters advance by the batch, and
+    every drop is traced (``drop.loss`` / ``drop.fault``, scheduling
+    time, packet source id, receiving node, packet kind) as the scalar
+    path traces it.
+
+    Returns:
+        Indices of the surviving copies, or None when the channel is
+        lossless (nothing drawn, every copy survives).
+    """
+    network = field.network
+    loss_model = network.loss_model
+    injector = network.fault_injector
+    fault = injector.loss if injector is not None else None
+    if loss_model is None and fault is None:
+        return None
+    count = packet.shape[0]
+    survivors = np.arange(count)
+    drops = np.zeros(count, dtype=np.int8)  # 1 = drop.loss, 2 = drop.fault
+    if loss_model is not None:
+        lost = raw_uniforms(loss_model.rng, count) < loss_model.loss_rate
+        loss_model.attempts += count
+        loss_model.losses += int(np.count_nonzero(lost))
+        drops[lost] = 1
+        survivors = survivors[~lost]
+    if fault is not None:
+        dropped = raw_uniforms(fault.rng, survivors.shape[0]) < fault.rate
+        fault.events += int(np.count_nonzero(dropped))
+        drops[survivors[dropped]] = 2
+        survivors = survivors[~dropped]
+    node_ids = field.view.node_ids
+    for index in np.flatnonzero(drops).tolist():
+        logical = packet[index]
+        field.trace.record(
+            float(now[logical]),
+            "drop.loss" if drops[index] == 1 else "drop.fault",
+            src=int(src_ids[logical]),
+            dst=int(node_ids[dst_rows[logical]]),
+            packet_kind=kind,
+        )
+    return survivors
 
 
 class _TurboPhase:
@@ -544,7 +649,7 @@ def run_detection_turbo(pipeline) -> None:
     req_now = np.full(req_src.shape[0], t0, dtype=np.float64)
     request_wave = _Wave(
         field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
-        req_dists, np.zeros(req_src.shape[0]), req_biases,
+        req_dists, np.zeros(req_src.shape[0]), req_biases, req_src,
     )
     phase.record_undelivered(
         request_wave, req_now, view.node_ids[req_origin_rows],
@@ -564,7 +669,7 @@ def run_detection_turbo(pipeline) -> None:
     reply_direct = req_dists[request_wave.packet[request_wave.order]]
     reply_wave = _Wave(
         field, BeaconPacket, reply_now, resp_rows, prober_rows,
-        reply_direct, extras, biases,
+        reply_direct, extras, biases, reply_src,
     )
     phase.record_undelivered(
         reply_wave, reply_now, reply_src, prober_rows, "BeaconPacket",
@@ -604,12 +709,10 @@ def run_detection_turbo(pipeline) -> None:
     pipeline._vec_bump("rtt_batched", int(bad.shape[0]))
     # Hot Python loops below index these thousands of times; plain
     # lists hold the identical values without per-access conversion.
-    rtts_list = rtts.tolist()
     prober_bad = d_prober_rows[bad].tolist()
-    observer = field.network.rtt_observer
-    if observer is not None:
-        for position in range(len(prober_bad)):
-            observer(rtts_list[position], field.nodes[prober_bad[position]])
+    rtts_list = observe_rtts(
+        field.network, rtts, [field.nodes[row] for row in prober_bad]
+    )
 
     # The cascade over the inconsistent subset, knows_location=True:
     # the §2.2.1 range check is decisive on its own (no detector call).
@@ -713,6 +816,7 @@ def run_localization_turbo(pipeline) -> None:
     request_wave = _Wave(
         field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
         req_dists, np.zeros(req_src.shape[0]), np.zeros(req_src.shape[0]),
+        req_src,
     )
     phase.record_undelivered(
         request_wave, req_now, req_src, req_dst_rows, "BeaconRequest",
@@ -726,7 +830,7 @@ def run_localization_turbo(pipeline) -> None:
     reply_direct = req_dists[request_wave.packet[request_wave.order]]
     reply_wave = _Wave(
         field, BeaconPacket, reply_now, resp_rows, agent_req_rows,
-        reply_direct, extras, biases,
+        reply_direct, extras, biases, reply_src,
     )
     phase.record_undelivered(
         reply_wave, reply_now, reply_src, agent_req_rows, "BeaconPacket",
@@ -770,12 +874,8 @@ def run_localization_turbo(pipeline) -> None:
         times[kept],
     )
     pipeline._vec_bump("rtt_batched", int(kept.shape[0]))
-    rtts_list = rtts.tolist()
     agent_kept = [agents_by_row[agent_rows_list[i]] for i in kept.tolist()]
-    observer = field.network.rtt_observer
-    if observer is not None:
-        for position in range(len(agent_kept)):
-            observer(rtts_list[position], agent_kept[position])
+    rtts_list = observe_rtts(field.network, rtts, agent_kept)
 
     # Cascade, knows_location=False: every kept copy reaches the
     # wormhole detector; survivors face the per-agent RTT filter.

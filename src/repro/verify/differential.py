@@ -60,6 +60,10 @@ class DifferentialReport:
     component: str
     scenarios: int
     divergences: List[Divergence] = field(default_factory=list)
+    #: Per-scenario tier tags, ``{phase: tier}``, for components that
+    #: route scenarios through different execution tiers (empty
+    #: otherwise).
+    tiers: List[Dict[str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -430,9 +434,13 @@ def differential_vectorized_core(
     detector cycle lengths are coprime (5 envelopes, 4 detectors),
     ``2 * 5 * len(available_detectors())`` scenarios — the suite
     default, 40 — cover the full cross product. Both tiers of the batch
-    path are exercised: the fully array-built turbo tier (``paper`` on
-    clean and false-alarm configurations) and the per-delivery replay
-    tier (faults, loss and every rival detector).
+    path are exercised: the fully array-built turbo tier (clean,
+    false-alarm, lossy and jittery channels; ``paper`` detection and
+    every detector's localization) and the per-delivery replay tier
+    (node crashes and every rival detector's detection). Each scenario
+    is tagged in ``report.tiers`` with the tier its detection and
+    localization took: ``"turbo"`` on a clean channel,
+    ``"turbo+faults"`` on a lossy or faulted one, or ``"replay"``.
     The complete ``PipelineResult`` objects must compare equal — every
     rate, every localization error, every affected-node id, to the
     last bit. "Tolerance-identical" for this substrate *is* exact
@@ -493,9 +501,17 @@ def differential_vectorized_core(
         scalar = SecureLocalizationPipeline(
             PipelineConfig(**kwargs, use_vectorized_core=False)
         ).run()
-        vectorized = SecureLocalizationPipeline(
+        vec_pipeline = SecureLocalizationPipeline(
             PipelineConfig(**kwargs, use_vectorized_core=True)
-        ).run()
+        )
+        vectorized = vec_pipeline.run()
+        faulted = "faults" in kwargs or "network_loss_rate" in kwargs
+        report.tiers.append(
+            {
+                phase: tier + "+faults" if tier == "turbo" and faulted else tier
+                for phase, tier in vec_pipeline._vec_tiers.items()
+            }
+        )
         if scalar != vectorized:
             diff_fields = sorted(
                 f.name

@@ -10,9 +10,9 @@ differently and shows up here immediately.
 
 The remaining tests pin the arena-wide seams: every registered detector
 is deterministic under a fixed seed and insensitive to worker count,
-every detector is admitted to the vectorized core but only ``paper``
-reaches its array-built turbo tier, and fault injection composes with
-rival detectors deterministically.
+every detector is admitted to the vectorized core and localizes on its
+array-built turbo tier, only ``paper`` also detects there, and fault
+injection composes with rival detectors deterministically.
 """
 
 import pytest
@@ -137,18 +137,29 @@ class TestEveryDetectorDeterministic:
 
 
 class TestRivalsStayScalar:
-    """Rivals judge exchanges with their scalar ``evaluate``, never turbo."""
+    """Rivals judge exchanges with their scalar ``evaluate``, never turbo.
+
+    Only their detection phase stays off turbo: localization never
+    consults the detector, so every detector localizes on turbo.
+    """
 
     @pytest.mark.parametrize("name", available_detectors())
     def test_vectorized_core_gate(self, name):
         config = PipelineConfig(detector=name, seed=0, **TINY)
         # Every detector is admitted to the vec core (its replay tier)...
         assert vectorized_core_supported(config)
-        # ...but the array-built turbo tier is the paper cascade, so it
-        # admits only the paper detector.
-        pipeline = SecureLocalizationPipeline(config)
-        pipeline.build()
-        assert turbo_supported(pipeline) == (name == "paper")
+        # ...but turbo's verdict kernel is the paper cascade, so turbo
+        # detection admits only the paper detector. Localization never
+        # consults the detector and takes turbo for all of them, on a
+        # lossy, jittery channel too.
+        for faults in (None, FaultConfig(packet_loss_rate=0.05,
+                                         rtt_jitter_cycles=750.0)):
+            pipeline = SecureLocalizationPipeline(
+                PipelineConfig(detector=name, seed=0, faults=faults, **TINY)
+            )
+            pipeline.build()
+            assert turbo_supported(pipeline, "detection") == (name == "paper")
+            assert turbo_supported(pipeline, "localization")
 
     def test_unknown_detector_rejected_at_config_time(self):
         with pytest.raises(ConfigurationError, match="detector"):

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.faults.models import ClockDriftFault, RttJitterFault
 from repro.sim.timing import RttModel
 from repro.vec.geometry import (
     count_within_range,
@@ -27,6 +28,7 @@ from repro.vec.geometry import (
 from repro.vec.measurement import (
     batched_calibration_rtts,
     batched_rtt,
+    batched_rtt_perturbation,
     batched_uniform,
     discrepancy_mask,
     raw_uniforms,
@@ -154,6 +156,96 @@ def test_batched_calibration_rtts_rejects_nonpositive_counts():
     with pytest.raises(ConfigurationError):
         batched_calibration_rtts(model, rng, -3, 10.0)
     assert rng.random() == random.Random(0).random()  # no draws consumed
+
+
+#: (jitter_cycles, spike_rate): jitter only, spikes only, both.
+RTT_FAULT_SHAPES = [(750.0, 0.0), (0.0, 0.3), (750.0, 0.3)]
+
+
+def _rtt_faults(seed, jitter_cycles, spike_rate, drift_ppm):
+    jitter = RttJitterFault(
+        jitter_cycles, spike_rate, 30000.0, random.Random(seed)
+    )
+    drift = ClockDriftFault(drift_ppm, seed) if drift_ppm else None
+    return jitter, drift
+
+
+@pytest.mark.parametrize("jitter_cycles, spike_rate", RTT_FAULT_SHAPES)
+@given(
+    seed=st.integers(0, 2**31),
+    rows=st.lists(
+        st.tuples(
+            # Small RTTs let the jitter push observations below zero,
+            # so the max(0, ...) clamp is exercised.
+            st.one_of(
+                st.floats(0.0, 1000.0), st.floats(2e4, 2e6), st.just(0.0)
+            ),
+            st.integers(1, 6),
+        ),
+        max_size=60,
+    ),
+    drift_ppm=st.sampled_from([0.0, 40.0, 5000.0]),
+)
+@settings(max_examples=40, deadline=None)
+def test_batched_rtt_perturbation_matches_scalar_skew_then_perturb(
+    jitter_cycles, spike_rate, seed, rows, drift_ppm
+):
+    vec_jitter, vec_drift = _rtt_faults(
+        seed, jitter_cycles, spike_rate, drift_ppm
+    )
+    ref_jitter, ref_drift = _rtt_faults(
+        seed, jitter_cycles, spike_rate, drift_ppm
+    )
+    rtts = [rtt for rtt, _ in rows]
+    observers = [node for _, node in rows]
+    batch = batched_rtt_perturbation(
+        np.array(rtts, dtype=np.float64), observers,
+        jitter=vec_jitter, drift=vec_drift,
+    )
+    reference = [
+        ref_jitter.perturb(
+            ref_drift.skew(node, rtt) if ref_drift is not None else rtt
+        )
+        for rtt, node in rows
+    ]
+    # Element for element, to the bit (-0.0 and 0.0 told apart too).
+    assert [math.copysign(1.0, x) for x in batch.tolist()] == [
+        math.copysign(1.0, x) for x in reference
+    ]
+    assert batch.tolist() == reference
+    assert vec_jitter.counters() == ref_jitter.counters()
+    if ref_drift is not None:
+        assert vec_drift.counters() == ref_drift.counters()
+    # The jitter stream advanced exactly as the scalar calls did.
+    assert vec_jitter.rng.random() == ref_jitter.rng.random()
+
+
+@pytest.mark.parametrize("jitter_cycles, spike_rate", RTT_FAULT_SHAPES)
+def test_batched_rtt_perturbation_empty_batch_draws_nothing(
+    jitter_cycles, spike_rate
+):
+    jitter, drift = _rtt_faults(3, jitter_cycles, spike_rate, 40.0)
+    out = batched_rtt_perturbation(
+        np.empty(0), [], jitter=jitter, drift=drift
+    )
+    assert out.shape == (0,)
+    assert jitter.counters() == {"fault_rtt_jitter": 0, "fault_rtt_spikes": 0}
+    assert drift.events == 0
+    assert jitter.rng.random() == random.Random(3).random()
+
+
+def test_batched_rtt_perturbation_clamps_like_scalar_max():
+    # Jitter of 750 cycles on zero and tiny RTTs lands below zero about
+    # half the time; each such observation must clamp to exactly 0.0.
+    vec_jitter, _ = _rtt_faults(11, 750.0, 0.0, 0.0)
+    ref_jitter, _ = _rtt_faults(11, 750.0, 0.0, 0.0)
+    rtts = [0.0, 1.0, 10.0, 100.0] * 25
+    batch = batched_rtt_perturbation(
+        np.array(rtts), [1] * len(rtts), jitter=vec_jitter
+    ).tolist()
+    reference = [ref_jitter.perturb(rtt) for rtt in rtts]
+    assert batch == reference
+    assert 0.0 in batch and any(x > 0.0 for x in batch)
 
 
 # ----------------------------------------------------------------------

@@ -4,11 +4,23 @@
 statistically similar ones — the RNG stream-parity rules in
 ``docs/PERFORMANCE.md`` are what make that possible. These tests run
 small deployments through both cores across the envelope axes that
-select different vec tiers (fault-free wormhole configs take the turbo
-tier; loss and fault envelopes, and every rival detector, take the
-per-delivery replay tier) and compare the results with ``==``.
+select different vec tiers and compare the results with ``==``:
+
+- the turbo tier (array-built waves) covers clean channels and lossy,
+  jittery ones — network loss, fault loss and delivery delay, RTT
+  jitter/spikes and clock drift — for ``paper`` detection and for
+  every detector's localization;
+- the per-delivery replay tier covers packet duplication and node
+  crashes, and every rival detector's detection phase.
+
+Each case's name prefix is the tier ``paper`` detection takes, and the
+test asserts the tier actually taken. Beyond the results, every case
+compares the trace's record counts per kind (except ``deliver``, which
+turbo does not record), the drop records themselves, the fault
+injector's counters and the link-loss model's counters.
 """
 
+from collections import Counter
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -45,6 +57,26 @@ FAULTS = FaultConfig(
     clock_drift_ppm=40.0,
 )
 
+#: Every per-copy and per-observation fault turbo draws as a mask:
+#: ``FAULTS`` without duplication (and without crashes).
+CHANNEL_FAULTS = replace(
+    FAULTS, packet_duplication_rate=0.0, packet_loss_rate=0.08
+)
+
+#: Duplication alone keeps a config on the replay tier.
+DUPLICATION = FaultConfig(
+    packet_duplication_rate=0.05, duplicate_delay_cycles=5000.0
+)
+
+#: Lossy, jittery channels turbo admits, as ``PipelineConfig`` overrides.
+TURBO_CHANNELS = {
+    "fault-loss": dict(faults=FaultConfig(packet_loss_rate=0.1)),
+    "network-loss": dict(network_loss_rate=0.12),
+    # Link loss stacked under fault loss: the fault coins are drawn
+    # only for the copies the link did not drop.
+    "channel-faults": dict(faults=CHANNEL_FAULTS, network_loss_rate=0.06),
+}
+
 CASES = {
     # Fault-free wormhole deployment: the fully array-built turbo tier.
     "turbo-wormhole": BASE,
@@ -57,16 +89,33 @@ CASES = {
     "turbo-false-alarm-no-wormhole": replace(
         BASE, wormhole_endpoints=None, wormhole_false_alarm_rate=0.3
     ),
-    # Loss and fault envelopes: the per-delivery replay tier.
-    "replay-loss": replace(BASE, network_loss_rate=0.12),
+    # Duplication (with or without loss) and crashes: the per-delivery
+    # replay tier.
+    "replay-loss": replace(BASE, network_loss_rate=0.12, faults=DUPLICATION),
     "replay-loss-false-alarm": replace(
-        BASE, network_loss_rate=0.12, wormhole_false_alarm_rate=0.2
+        BASE,
+        network_loss_rate=0.12,
+        faults=DUPLICATION,
+        wormhole_false_alarm_rate=0.2,
     ),
     "replay-faults": replace(BASE, faults=FAULTS),
     "replay-faults-loss": replace(
         BASE, faults=FAULTS, network_loss_rate=0.08, wormhole_endpoints=None
     ),
+    "replay-crash": replace(
+        BASE, faults=replace(CHANNEL_FAULTS, node_crash_rate=0.1)
+    ),
 }
+# Lossy, jittery channels on turbo: each with and without a wormhole,
+# and with a positive false-alarm rate.
+for _channel, _overrides in TURBO_CHANNELS.items():
+    CASES[f"turbo-{_channel}"] = replace(BASE, **_overrides)
+    CASES[f"turbo-{_channel}-no-wormhole"] = replace(
+        BASE, wormhole_endpoints=None, **_overrides
+    )
+    CASES[f"turbo-{_channel}-false-alarm"] = replace(
+        BASE, wormhole_false_alarm_rate=0.2, **_overrides
+    )
 
 
 def _run(config, *, vectorized):
@@ -76,14 +125,36 @@ def _run(config, *, vectorized):
     return pipeline, pipeline.run()
 
 
-#: Rival detectors skip the turbo tier: every envelope, the clean one
-#: included, replays per delivery and judges each reply through the
-#: detector's scalar ``evaluate``.
+#: Rival detectors never take turbo for detection; their localization
+#: takes turbo wherever ``paper``'s would.
 RIVAL_ENVELOPES = {
     "clean": BASE,
     "faults": replace(BASE, faults=FAULTS),
     "loss": replace(BASE, network_loss_rate=0.12),
+    "loss-jitter": replace(
+        BASE,
+        faults=FaultConfig(packet_loss_rate=0.05, rtt_jitter_cycles=750.0),
+    ),
 }
+
+
+def _trace_kinds(pipeline):
+    return Counter(
+        event.kind for event in pipeline.trace if event.kind != "deliver"
+    )
+
+
+def _drop_records(pipeline):
+    return Counter(
+        (event.time, event.kind, tuple(sorted(event.fields.items())))
+        for event in pipeline.trace
+        if event.kind.startswith("drop.")
+    )
+
+
+def _loss_counters(pipeline):
+    model = pipeline.network.loss_model
+    return None if model is None else (model.attempts, model.losses)
 
 
 def _assert_parity(config):
@@ -121,11 +192,27 @@ def _assert_parity(config):
         vec_pipeline.engine.events_processed
         == scalar_pipeline.engine.events_processed
     )
+    # Every trace kind but "deliver" is recorded as often, and every
+    # drop with the same time and fields; every fault model and the
+    # link-loss model drew and counted the same events.
+    assert _trace_kinds(vec_pipeline) == _trace_kinds(scalar_pipeline)
+    assert _drop_records(vec_pipeline) == _drop_records(scalar_pipeline)
+    if scalar_pipeline.fault_injector is not None:
+        assert (
+            vec_pipeline.fault_injector.counters()
+            == scalar_pipeline.fault_injector.counters()
+        )
+    assert _loss_counters(vec_pipeline) == _loss_counters(scalar_pipeline)
+    return vec_pipeline
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_vectorized_core_reproduces_scalar_trial(name):
-    _assert_parity(CASES[name])
+    vec_pipeline = _assert_parity(CASES[name])
+    tier = name.split("-", 1)[0]
+    assert vec_pipeline._vec_tiers == {
+        "detection": tier, "localization": tier,
+    }
 
 
 @pytest.mark.parametrize("envelope", sorted(RIVAL_ENVELOPES))
@@ -133,38 +220,55 @@ def test_vectorized_core_reproduces_scalar_trial(name):
     "detector", [d for d in available_detectors() if d != "paper"]
 )
 def test_rival_detector_replay_reproduces_scalar_trial(detector, envelope):
-    _assert_parity(replace(RIVAL_ENVELOPES[envelope], detector=detector))
+    vec_pipeline = _assert_parity(
+        replace(RIVAL_ENVELOPES[envelope], detector=detector)
+    )
+    assert vec_pipeline._vec_tiers == {
+        "detection": "replay",
+        "localization": "replay" if envelope == "faults" else "turbo",
+    }
+
+
+def _built(**overrides):
+    pipeline = SecureLocalizationPipeline(
+        replace(BASE, use_vectorized_core=True, **overrides)
+    )
+    return pipeline.build()
 
 
 def test_turbo_tier_engaged_on_fault_free_config():
     """The fast tier must actually be selected where it is claimed to."""
     from repro.vec.turbo import turbo_supported
 
-    pipeline = SecureLocalizationPipeline(
-        replace(BASE, use_vectorized_core=True)
-    )
-    pipeline.build()
-    assert turbo_supported(pipeline)
+    def tiers(pipeline):
+        return [
+            turbo_supported(pipeline, phase)
+            for phase in ("detection", "localization")
+        ]
 
-    lossy = SecureLocalizationPipeline(
-        replace(BASE, use_vectorized_core=True, network_loss_rate=0.1)
-    )
-    lossy.build()
-    assert not turbo_supported(lossy)
-
-    faulty = SecureLocalizationPipeline(
-        replace(BASE, use_vectorized_core=True, faults=FAULTS)
-    )
-    faulty.build()
-    assert not turbo_supported(faulty)
-
+    assert tiers(_built()) == [True, True]
+    # Lossy and jittery channels are masks on turbo: link loss, fault
+    # loss and delay, RTT jitter/spikes and clock drift.
+    assert tiers(_built(network_loss_rate=0.1)) == [True, True]
+    assert tiers(_built(faults=CHANNEL_FAULTS)) == [True, True]
+    # Duplication and crashes still replay per delivery.
+    assert tiers(_built(faults=FAULTS)) == [False, False]
+    assert tiers(_built(faults=DUPLICATION)) == [False, False]
+    assert tiers(
+        _built(faults=FaultConfig(node_crash_rate=0.1))
+    ) == [False, False]
     # A positive false-alarm rate no longer demotes the config to the
     # replay tier (the ordered verdict walk preserves stream parity).
-    false_alarm = SecureLocalizationPipeline(
-        replace(BASE, use_vectorized_core=True, wormhole_false_alarm_rate=0.2)
-    )
-    false_alarm.build()
-    assert turbo_supported(false_alarm)
+    assert tiers(_built(wormhole_false_alarm_rate=0.2)) == [True, True]
+    # Rival detectors localize on turbo but detect on replay.
+    for detector in available_detectors():
+        expected = [detector == "paper", True]
+        assert tiers(_built(detector=detector)) == expected
+        assert tiers(
+            _built(detector=detector, faults=CHANNEL_FAULTS)
+        ) == expected
+    with pytest.raises(ValueError):
+        turbo_supported(_built(), "metrics")
 
 
 #: One agent's distinct references (beacon id, x, y, measured range)

@@ -58,6 +58,18 @@ class TestVectorizedCore:
         report = differential_vectorized_core(2, seed=0)
         assert report.ok, "\n".join(d.detail for d in report.divergences)
 
+    def test_default_scenarios_cover_every_tier(self):
+        # The suite default (40 scenarios) must keep exercising turbo on
+        # a clean channel, turbo on a lossy/faulted one, and replay —
+        # otherwise the differential could silently stop checking a tier.
+        report = differential_vectorized_core(40, seed=0)
+        assert report.ok, "\n".join(d.detail for d in report.divergences)
+        assert len(report.tiers) == 40
+        hit = {tier for tags in report.tiers for tier in tags.values()}
+        assert {"turbo", "turbo+faults", "replay"} <= hit
+        assert all(set(tags) == {"detection", "localization"}
+                   for tags in report.tiers)
+
 
 class TestReport:
     def test_summary_counts_divergences(self):
