@@ -16,7 +16,7 @@ like a fast one:
   >= 10x (``--quick`` smoke mode relaxes the floor, not the equality).
 - **faulted trial**: the same comparison on a lossy, jittery channel
   (5% packet loss, 750-cycle RTT jitter), which the vectorized core
-  runs on its array-built turbo tier too. Equality is asserted; the
+  runs as array-built waves too. Equality is asserted; the
   speedup is recorded but has no floor.
 
 Every measurement lands in ``BENCH_pipeline.json`` at the repo root so
@@ -249,7 +249,7 @@ def test_full_trial_speedup(save_figure, quick):
 def test_faulted_trial_identity(save_figure, quick):
     """End-to-end trial on a lossy, jittery channel: vec == scalar.
 
-    Loss and RTT jitter are drawn as array masks on the turbo tier, so
+    Loss and RTT jitter are drawn as array masks by the vec engine, so
     this is the faulted twin of :func:`test_full_trial_speedup`: the
     two cores' ``PipelineResult`` objects must compare equal before any
     clock is read. The speedup is recorded, not asserted.

@@ -162,11 +162,11 @@ class DetectingBeacon(BeaconService):
         """Judge one authenticated probe reply and act on the verdict.
 
         The post-verification half of the reply handler, shared by the
-        scalar event loop and the vectorized replay tier: build the
-        :class:`Exchange`, let :attr:`detector` evaluate it, record the
-        outcome and report an indicted target — all at the reply's
-        arrival time, which the replay tier emulates without advancing
-        the engine clock.
+        scalar event loop and the vectorized core's rival-detector path:
+        build the :class:`Exchange`, let :attr:`detector` evaluate it,
+        record the outcome and report an indicted target — all at the
+        reply's arrival time, which the vectorized core emulates
+        without advancing the engine clock.
         """
         packet = reception.packet
         exchange = Exchange(

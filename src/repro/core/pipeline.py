@@ -116,9 +116,7 @@ class PipelineConfig:
     #: (``"mahalanobis"``, ``"noisy"``, ``"consistency"``) calibrate on
     #: the dedicated ``detector-calibration`` stream and share one
     #: instance across all detecting beacons. Every detector runs on the
-    #: vectorized core; rivals take its per-delivery replay tier, never
-    #: the paper-only turbo tier (see
-    #: :func:`repro.vec.vectorized_core_supported`).
+    #: vectorized core (see :func:`repro.vec.vectorized_core_supported`).
     detector: str = "paper"
     wormhole_endpoints: Optional[Tuple[Tuple[float, float], Tuple[float, float]]] = (
         (100.0, 100.0),
@@ -324,9 +322,6 @@ class SecureLocalizationPipeline:
         #: noise/RTT draws batched); folded into observability at
         #: finalize and into :meth:`profile_snapshot` as ``vec_*``.
         self._vec_counters: Dict[str, int] = {}
-        #: The vec tier each batched phase took (``"turbo"`` or
-        #: ``"replay"``), keyed by phase; empty on the scalar path.
-        self._vec_tiers: Dict[str, str] = {}
         #: Per-phase wall clock + hot-path counters; populated by
         #: :meth:`run` and read back via :meth:`profile_snapshot`.
         self.profile = PhaseProfile()

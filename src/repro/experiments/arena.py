@@ -17,8 +17,8 @@ and wormhole. Per detector the arena reports:
 
 All runs force ``use_vectorized_core=False`` so every detector is timed
 on the same scalar execution path. The vectorized core would split
-them: on a clean channel ``paper`` takes the array-built turbo tier
-while rivals take the per-delivery replay tier (see
+them: ``paper`` judges the whole reply wave with array kernels while
+rivals judge each reply through their scalar ``evaluate`` (see
 :func:`repro.vec.vectorized_core_supported`).
 
 ``benchmarks/bench_arena.py`` snapshots the output into the committed

@@ -664,8 +664,8 @@ class Network:
         longer matches the calibrated Figure-4 window.
 
         ``start_time`` is t1, the reply's arrival time — passed in
-        rather than read off the engine clock, because the event-free
-        replay emulates arrivals without advancing it.
+        rather than read off the engine clock, because the vectorized
+        core emulates arrivals without advancing it.
         """
         dist = distance(requester.position, responder_position)
         sample = self.rtt_model.sample(

@@ -33,10 +33,12 @@ except ImportError:  # pragma: no cover - numpy is a declared dependency
 def vectorized_core_supported(config) -> bool:
     """True when the batch core reproduces ``config`` draw-for-draw.
 
-    The replay engine covers the paper's evaluation matrix — wormholes,
-    collusion, network loss, the full fault-injection surface, spatial
-    index on/off, every registered detector — but not configurations
-    whose control flow interleaves extra events with deliveries:
+    The array-built waves cover the paper's evaluation matrix —
+    wormholes, collusion, network loss, the full fault-injection surface
+    (loss, duplication, delay, RTT jitter/spikes, clock drift, node
+    crashes), spatial index on/off, every registered detector — but not
+    configurations whose control flow interleaves extra events with
+    deliveries:
 
     - ARQ channels (``alert_loss_rate``/``request_loss_rate`` > 0)
       schedule timer events between deliveries;
@@ -45,16 +47,12 @@ def vectorized_core_supported(config) -> bool:
       mid-phase.
 
     Those run on the scalar oracle path unchanged. Inside the envelope
-    each phase picks its tier (:func:`repro.vec.turbo.turbo_supported`):
-    the array-built turbo tier on clean or lossy, jittery channels
-    (network loss, fault loss and delay, RTT jitter/spikes, clock
-    drift), and the per-delivery replay tier under packet duplication
-    or node crashes. Every detector localizes on turbo there; only
-    ``paper`` also detects on turbo, while rival detectors
-    (``config.detector != "paper"``) detect on replay, judging each
-    reply through the scalar ``Detector.evaluate``. The predicate is
-    duck-typed on the config attributes so it never imports the
-    pipeline module.
+    both phases run as two array-built waves
+    (:mod:`repro.vec.turbo`); ``paper`` judges replies with array
+    kernels, while rival detectors (``config.detector != "paper"``)
+    judge each reply through the scalar ``Detector.evaluate``. The
+    predicate is duck-typed on the config attributes so it never
+    imports the pipeline module.
     """
     return (
         HAVE_NUMPY

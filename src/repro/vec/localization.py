@@ -1,15 +1,15 @@
 """Batched localization phase and Gauss-Newton multilateration.
 
 The request/reply exchange mirrors the scalar
-``run_localization``/``NonBeaconAgent`` flow. It takes the array-built
-turbo tier (:func:`repro.vec.turbo.run_localization_turbo`) for every
-detector — the phase never consults ``pipeline.detector`` — on clean
-and lossy, jittery channels alike, and replays per delivery only under
-packet duplication or node crashes. Either tier filters revoked
-beacons first (it precedes the RTT draw in the scalar handler), then
-draws one RTT batch over the surviving replies in reply order, perturbs
-it as one batch (:func:`~repro.vec.measurement.observe_rtts`), and runs
-the real filter cascade per reply. Position
+``run_localization``/``NonBeaconAgent`` flow as two array-built waves
+(:class:`~repro.vec.turbo.Wave`), for every detector — the phase never
+consults ``pipeline.detector`` — on clean, lossy, jittery, duplicating
+and crashing channels alike. Crashed agents request nothing. Revoked
+beacons are filtered first (it precedes the RTT draw in the scalar
+handler), then one RTT batch is drawn over the surviving replies in
+reply order, perturbed as one batch
+(:func:`~repro.vec.measurement.observe_rtts`), and judged by the §2.2
+cascade as arrays. Position
 solving groups agents by reference count and runs every group through
 one batched Gauss-Newton: because the scalar solver in
 :mod:`repro.localization.multilateration` does all of its linear
@@ -29,17 +29,22 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.replay_filter import FilterDecision
 from repro.localization.multilateration import (
     _DEGENERACY_FACTOR,
     _MIN_DISTANCE_FT,
     mmse_multilaterate,
 )
-from repro.sim.messages import BeaconRequest
+from repro.localization.references import LocationReference
+from repro.sim.messages import BeaconPacket, BeaconRequest
 from repro.utils.geometry import Point
-from repro.utils.geometry import distance
 from repro.vec.measurement import batched_rtt, observe_rtts
-from repro.vec.replay import PhaseReplay
+from repro.vec.turbo import (
+    Wave,
+    WavePhase,
+    exact_distances,
+    serve_wave,
+    wormhole_verdicts,
+)
 
 #: Gauss-Newton iteration cap (matches the scalar solver's default).
 _MAX_ITERATIONS = 50
@@ -53,66 +58,152 @@ def run_localization_vectorized(pipeline) -> None:
     Gathers references with exact draw parity; estimation itself is
     deferred to :func:`batched_estimate_errors`, which the pipeline's
     metrics phase calls (as the scalar path does via
-    ``estimate_position``). Configurations
-    :func:`~repro.vec.turbo.turbo_supported` admits take the fully
-    array-built turbo tier, whatever the detector; everything else
-    replays per delivery. The tier taken is recorded in
-    ``pipeline._vec_tiers["localization"]``.
+    ``estimate_position``).
     """
-    from repro.vec.turbo import run_localization_turbo, turbo_supported
-
-    if turbo_supported(pipeline, "localization"):
-        pipeline._vec_tiers["localization"] = "turbo"
-        run_localization_turbo(pipeline)
-        return
-    pipeline._vec_tiers["localization"] = "replay"
-    replay = PhaseReplay(pipeline)
+    phase = WavePhase(pipeline)
+    field = phase.field
     t0 = pipeline.engine.now()
+    view = field.view
+
+    # ------------------------------------------------------------------
+    # Beacon requests (scalar build order: agent, then target id order).
+    # ------------------------------------------------------------------
+    src_chunks: List[np.ndarray] = []
+    dst_chunks: List[np.ndarray] = []
+    agent_chunks: List[np.ndarray] = []
     for agent in pipeline.agents:
         if pipeline._initiator_down(agent):
             continue
-        for beacon in pipeline._reachable_beacons(agent):
-            request = BeaconRequest(
-                src_id=agent.node_id,
-                dst_id=beacon.node_id,
-                nonce=agent._next_nonce,
-            )
-            agent._next_nonce += 1
-            replay.unicast(agent, request, t0)
-    for entry, reception in replay.deliver(replay.close_wave()):
-        replay.serve_request(entry.dst, reception.packet, entry.time)
-    delivered = list(replay.deliver(replay.close_wave()))
+        row = field.row(agent.node_id)
+        targets = field.reachable_beacon_rows(row)
+        k = targets.shape[0]
+        if k == 0:
+            continue
+        src_chunks.append(np.full(k, agent.node_id, dtype=np.int64))
+        dst_chunks.append(targets)
+        agent_chunks.append(np.full(k, row, dtype=np.int64))
+        agent._next_nonce += k
+
+    if not src_chunks:
+        phase.finish()
+        return
+    req_src = np.concatenate(src_chunks)
+    req_dst_rows = np.concatenate(dst_chunks)
+    req_origin_rows = np.concatenate(agent_chunks)
+    req_dists = exact_distances(
+        view.xs[req_origin_rows],
+        view.ys[req_origin_rows],
+        view.xs[req_dst_rows],
+        view.ys[req_dst_rows],
+    )
+    field.network.stats.distance_evals += int(req_dists.shape[0])
+    req_now = np.full(req_src.shape[0], t0, dtype=np.float64)
+    request_wave = Wave(
+        field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
+        req_dists, np.zeros(req_src.shape[0]), np.zeros(req_src.shape[0]),
+        req_src,
+    )
+    phase.record_undelivered(
+        request_wave, req_now, req_src, req_dst_rows, "BeaconRequest",
+    )
+    phase.account(request_wave)
+
+    (
+        resp_rows, agent_req_rows, reply_src, _reply_dst, claimed_x,
+        claimed_y, biases, extras, fakes, reply_now,
+    ) = serve_wave(phase, request_wave, req_src, req_origin_rows)
+    reply_direct = req_dists[request_wave.packet[request_wave.order]]
+    reply_wave = Wave(
+        field, BeaconPacket, reply_now, resp_rows, agent_req_rows,
+        reply_direct, extras, biases, reply_src,
+    )
+    phase.record_undelivered(
+        reply_wave, reply_now, reply_src, agent_req_rows, "BeaconPacket",
+    )
+    phase.account(reply_wave)
+
+    # ------------------------------------------------------------------
+    # Reference collection in delivery order (§2.2 filters, then §4).
+    # ------------------------------------------------------------------
+    order = reply_wave.order
+    rep = reply_wave.packet[order]
+    times = reply_wave.time[order]
+    measured = reply_wave.measured[order]
+    d_agent_rows = agent_req_rows[rep]
+    src_all = reply_src[rep]
+
     # Revocation filtering precedes the RTT draw in the scalar handler,
     # and no new revocations occur during localization (only detecting
     # beacons alert), so filtering the whole batch up front is exact.
-    kept = [
-        (entry, reception)
-        for entry, reception in delivered
-        if reception.packet.src_id not in entry.dst.revoked_beacons
-    ]
-    network = pipeline.network
-    rtts = batched_rtt(
-        network.rngs.stream("rtt"),
-        network.rtt_model,
-        [
-            distance(entry.dst.position, reception.transmission.tx_origin)
-            for entry, reception in kept
-        ],
-        [reception.transmission.extra_delay_cycles for _, reception in kept],
-        [entry.time for entry, _ in kept],
-    )
-    pipeline._vec_bump("rtt_batched", len(kept))
-    observed = observe_rtts(network, rtts, [entry.dst for entry, _ in kept])
-    for (entry, reception), rtt in zip(kept, observed):
-        agent = entry.dst
-        decision = agent.filter_cascade.evaluate(
-            reception, agent.position, rtt, receiver_knows_location=False
+    agents_by_row = {
+        field.row(agent.node_id): agent for agent in pipeline.agents
+    }
+    src_list = src_all.tolist()
+    agent_rows_list = d_agent_rows.tolist()
+    kept = np.flatnonzero(
+        np.array(
+            [
+                src_list[i]
+                not in agents_by_row[agent_rows_list[i]].revoked_beacons
+                for i in range(len(src_list))
+            ],
+            dtype=bool,
         )
-        if decision is not FilterDecision.ACCEPT:
-            agent.rejected_replays += 1
-            continue
-        agent.references.append(agent.reference_from(reception))
-    replay.finish()
+    )
+    rtts = batched_rtt(
+        field.network.rngs.stream("rtt"),
+        field.network.rtt_model,
+        reply_wave.dist[order][kept],
+        reply_wave.extra[order][kept],
+        times[kept],
+    )
+    pipeline._vec_bump("rtt_batched", int(kept.shape[0]))
+    agent_kept = [agents_by_row[agent_rows_list[i]] for i in kept.tolist()]
+    rtts_list = observe_rtts(field.network, rtts, agent_kept)
+
+    # Cascade, knows_location=False: every kept copy reaches the
+    # wormhole detector; survivors face the per-agent RTT filter.
+    wormhole_flagged = wormhole_verdicts(
+        pipeline.agents[0].filter_cascade.wormhole_detector,
+        np.ones(kept.shape[0], dtype=bool),
+        fakes[rep][kept],
+        reply_wave.via_wormhole[order][kept],
+        view.node_ids[d_agent_rows[kept]],
+        src_all[kept],
+    )
+    local_flagged = np.zeros(kept.shape[0], dtype=bool)
+    for position in np.flatnonzero(~wormhole_flagged).tolist():
+        agent = agent_kept[position]
+        local_flagged[position] = (
+            agent.filter_cascade.local_replay_detector.is_replayed(
+                rtts_list[position]
+            )
+        )
+    rejected = wormhole_flagged | local_flagged
+
+    counts = np.bincount(d_agent_rows[kept[rejected]], minlength=view.count)
+    for row in np.flatnonzero(counts):
+        agents_by_row[int(row)].rejected_replays += int(counts[row])
+
+    claimed_kept_x = claimed_x[rep][kept].tolist()
+    claimed_kept_y = claimed_y[rep][kept].tolist()
+    measured_kept = measured[kept].tolist()
+    times_kept = times[kept].tolist()
+    src_kept = src_all[kept].tolist()
+    for position in np.flatnonzero(~rejected).tolist():
+        agent_kept[position].references.append(
+            LocationReference(
+                beacon_id=src_kept[position],
+                beacon_location=Point(
+                    claimed_kept_x[position],
+                    claimed_kept_y[position],
+                ),
+                measured_distance_ft=measured_kept[position],
+                received_at=times_kept[position],
+            )
+        )
+
+    phase.finish()
 
 
 def batched_estimate_errors(agents) -> List[float]:

@@ -1,23 +1,30 @@
-"""Array-built delivery waves for clean and lossy, jittery channels.
+"""Array-built delivery waves: the substrate of the vectorized core.
 
-:class:`~repro.vec.replay.PhaseReplay` removes the event queue but
-still walks every delivery in Python. Wherever every per-copy draw is
-a coin or a delay with no feedback into scheduling, a whole wave
-collapses into array arithmetic: exact pairwise geometry picks the
-copies (direct plus tunnelled, in the scalar ``unicast`` order), the
-channel's draws become masks — one ``"network-loss"`` batch over the
-scheduled copies, one fault-loss batch over their survivors, one
-fault-delay and one ranging-noise batch over the delivered copies,
-each on its own stream in scheduling order — one elementwise
-expression computes every arrival time, and one stable argsort
-recovers the engine's ``(time, seq)`` delivery order. The reply wave is
-scheduled in the request wave's delivery order. The RTT batch and its
-fault perturbation (clock drift, jitter, spikes) run over exactly the
-RTT observations, in reply order
-(:func:`~repro.vec.measurement.observe_rtts`). Packet duplication
-(a copy re-enters scheduling) and node crashes (judged at arrival
-time) have no mask form; those configurations stay on the replay
-tier, see :func:`turbo_supported`.
+A pipeline phase schedules all its requests at one instant, request
+deliveries schedule the replies, and reply handlers never transmit, so
+a phase is exactly two delivery waves. Each wave collapses into array
+arithmetic: exact pairwise geometry picks the copies (direct plus
+tunnelled, in the scalar ``unicast`` order), the channel's draws become
+masks — one ``"network-loss"`` batch over the scheduled copies, one
+fault-loss batch over their survivors, one fault-delay and one
+ranging-noise batch over the scheduled copies, each on its own stream
+in scheduling order — one elementwise expression computes every
+arrival time, a per-receiver crash time drops the copies that arrive at
+a crashed node, and one stable argsort recovers the engine's
+``(time, seq)`` delivery order. The reply wave is scheduled in the
+request wave's delivery order. Processing wave 1 fully before wave 2
+consumes every stream in the scalar order even when a delayed request
+would, in global event order, arrive after an early reply: the
+scheduling-time streams (loss, fault loss/duplication/delay,
+``"ranging"``) and the reply-time streams (``"rtt"``, fault RTT/drift,
+``"wormhole-detector"``) are disjoint.
+
+Packet duplication is the one per-copy draw with feedback into
+scheduling — a duplicate re-enters ``_schedule_delivery`` before its
+original's delay and noise draws — so under a duplication fault the
+loss head runs as an ordered walk over the scheduled copies that calls
+the real models; the delay batch, the noise batch and the sort stay
+batched.
 
 Python survives only where the scalar path is genuinely stateful per
 item, and each of those loops runs over a small subset in delivery
@@ -26,14 +33,15 @@ wormhole pair verdicts (sticky detector coin flips), probe-outcome and
 alert recording, drop traces, and accepted reference construction.
 All distances that feed protocol decisions or measurements are
 computed with the correctly rounded scalar ``math.hypot``, so every
-float matches the scalar run bit for bit.
+float matches the scalar run bit for bit. The phases themselves live in
+:mod:`repro.vec.detection` and :mod:`repro.vec.localization`.
 
 One deliberate fidelity cut, documented in ``docs/PERFORMANCE.md``:
-this tier does not record per-delivery ``"deliver"`` trace events
-(no protocol logic, invariant check, or metric consumes them; the
-scalar and replay tiers keep them). Drops (``drop.loss``,
-``drop.fault``, ``drop.out_of_range``) are recorded with the scalar
-fields. The profiling counters (``stats.distance_evals``,
+the vectorized core does not record per-delivery ``"deliver"`` trace
+events (no protocol logic, invariant check, or metric consumes them).
+Drops (``drop.loss``, ``drop.fault``, ``drop.crashed``,
+``drop.out_of_range``) are recorded with the scalar fields. The
+profiling counters (``stats.distance_evals``,
 ``stats.spatial_queries``) are credited with the batch kernels' actual
 work, which differs from the scalar grid-walk counts. Configs that
 need full per-event traces must run with ``use_vectorized_core=False``.
@@ -50,79 +58,16 @@ import numpy as np
 
 from repro.attacks.compromised import MaliciousBeacon
 from repro.attacks.strategy import ResponseKind
-from repro.core.detecting import ProbeOutcome
-from repro.localization.references import LocationReference
-from repro.sim.messages import BeaconPacket, BeaconRequest
+from repro.sim.messages import BeaconPacket
 from repro.sim.radio import SPEED_OF_LIGHT_FT_PER_CYCLE
 from repro.sim.timing import packet_transmission_cycles
-from repro.utils.geometry import Point
 from repro.vec.arrays import topology_arrays
 from repro.vec.geometry import within_range_matrix
-from repro.vec.measurement import (
-    batched_rtt,
-    batched_uniform,
-    discrepancy_mask,
-    observe_rtts,
-    raw_uniforms,
-)
+from repro.vec.measurement import batched_uniform, raw_uniforms
 from repro.wormhole.detector import ProbabilisticWormholeDetector
 
 
-#: The phases a turbo wave pair runs, as :func:`turbo_supported` names them.
-PHASES = ("detection", "localization")
-
-
-def turbo_supported(pipeline, phase: str) -> bool:
-    """True when ``phase`` can run as array-built waves.
-
-    Requirements on top of :func:`repro.vec.vectorized_core_supported`:
-    no packet-duplication or node-crash fault (a duplicate re-enters
-    scheduling and a crash is judged at arrival time, so neither is a
-    per-copy mask), the default bounded-uniform ranging model
-    (recognizable by its ``max_error_ft`` tag), out-of-range unicasts
-    configured to drop rather than raise, and the stock probabilistic
-    wormhole detector. Network loss, fault loss, fault delivery delay,
-    RTT jitter/spikes and clock drift are admitted: :class:`_Wave` and
-    :func:`~repro.vec.measurement.observe_rtts` draw them as batches on
-    their own streams, in the scalar order.
-
-    Only ``"detection"`` also requires the ``paper`` detector (no shared
-    rival ``pipeline.detector``): its verdict kernel is the paper's
-    §2.1+§2.2 cascade written as arrays. Localization never consults
-    ``pipeline.detector``, so it takes turbo for every detector.
-    A positive false-alarm rate is supported: the verdict kernel then
-    walks the evaluated batch in delivery order so the per-clean-copy
-    coins interleave with the sticky tunnel coins exactly as the scalar
-    loop draws them (guarded by ``repro-verify --only vectorized_core``).
-    Anything else falls back to the per-delivery replay engine, which
-    handles the general envelope.
-    """
-    if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    network = pipeline.network
-    if network is None:
-        return False
-    if phase == "detection" and pipeline.detector is not None:
-        return False
-    injector = network.fault_injector
-    if injector is not None and (
-        injector.duplication is not None or injector.crash is not None
-    ):
-        return False
-    if not network.drop_out_of_range:
-        return False
-    if getattr(network.ranging_error, "max_error_ft", None) is None:
-        return False
-    if pipeline.benign_beacons:
-        cascade = pipeline.benign_beacons[0].filter_cascade
-    elif pipeline.agents:
-        cascade = pipeline.agents[0].filter_cascade
-    else:
-        return False
-    return isinstance(cascade.wormhole_detector, ProbabilisticWormholeDetector)
-
-
-def _exact_distances(ax, ay, bx, by) -> np.ndarray:
+def exact_distances(ax, ay, bx, by) -> np.ndarray:
     """Correctly rounded elementwise distances (scalar ``math.hypot``).
 
     The subtractions are exact IEEE arithmetic either way; routing the
@@ -138,7 +83,7 @@ def _exact_distances(ax, ay, bx, by) -> np.ndarray:
     )
 
 
-class _Field:
+class WaveField:
     """Per-phase geometric context shared by both waves.
 
     Holds the SoA topology view, node-id -> row resolution, and exact
@@ -163,10 +108,10 @@ class _Field:
         #: Per link: (near_a, near_b, latency) over all node rows.
         self.links: List[Tuple[np.ndarray, np.ndarray, float]] = []
         for link in network.wormholes:
-            da = _exact_distances(
+            da = exact_distances(
                 self.view.xs, self.view.ys, link.end_a.x, link.end_a.y
             )
-            db = _exact_distances(
+            db = exact_distances(
                 self.view.xs, self.view.ys, link.end_b.x, link.end_b.y
             )
             self.links.append((da <= r, db <= r, link.latency_cycles))
@@ -207,37 +152,45 @@ class _Field:
         return self.beacon_rows[self._reach[row]]
 
 
-class _Wave:
+class Wave:
     """One wave of scheduled copies, expanded and sorted in bulk.
 
     The constructor performs what ``unicast`` + ``_schedule_delivery``
-    + ``close_wave`` do for every packet of a wave: copy expansion in
-    scheduling order (direct first, then one tunnelled copy per
-    wormhole, packet-major), the channel's per-copy draws as masks
-    (:func:`_channel_survivors`, then the fault delivery delay), exact
-    delays, the wave's ranging-noise batch, and the stable
-    ``(time, seq)`` delivery sort. Each of those draws is one batch on
-    its own stream over exactly the copies the scalar path draws it
-    for, in scheduling order: a dropped copy draws nothing further.
+    + the engine's delivery events do for every packet of a wave: copy
+    expansion in scheduling order (direct first, then one tunnelled
+    copy per wormhole, packet-major), the channel's loss head
+    (:func:`_channel_copies`, duplicates included), the fault delivery
+    delay, exact delays, the wave's ranging-noise batch, the receiver
+    crash check at arrival time, and the stable ``(time, seq)``
+    delivery sort. Each draw is one batch on its own stream over
+    exactly the copies the scalar path draws it for, in scheduling
+    order: a dropped copy draws nothing further.
 
     Attributes (all per *delivered* copy, in scheduling order):
         packet: index into the wave's logical-packet arrays.
         dst_row: receiving node row.
         dist: physical emitter-to-receiver distance (exact; for a
-            tunnelled copy, from the exit endpoint — the reception's
-            ``tx_origin``).
-        extra: accumulated extra delay (reply masking + tunnel latency).
+            tunnelled copy, from the exit endpoint).
+        origin_x, origin_y: where the copy left from — the sender, or
+            the tunnel's exit endpoint (the reception's ``tx_origin``).
+        extra: accumulated extra delay (reply masking + tunnel latency
+            + duplicate delay).
         via_wormhole: tunnelled-copy flag.
+        duplicated: duplicate-copy flag.
         time: arrival cycle.
         measured: receiver ranging estimate (noise batch applied).
         order: indices sorting copies into delivery order.
+        events: scheduled copies, crashed receivers included — each is
+            one engine event.
+        latest: arrival cycle of the last scheduled copy (None when
+            nothing was scheduled).
         undelivered: packet indices that produced no copy at all (the
             scalar ``drop.out_of_range`` case).
     """
 
     def __init__(
         self,
-        field: _Field,
+        field: WaveField,
         packet_cls,
         now: np.ndarray,
         origin_rows: np.ndarray,
@@ -248,20 +201,27 @@ class _Wave:
         src_ids: np.ndarray,
     ) -> None:
         view = field.view
+        network = field.network
+        kind = packet_cls.__name__
         count = origin_rows.shape[0]
         slots = 1 + len(field.links)
         valid = np.zeros((count, slots), dtype=bool)
         dists = np.zeros((count, slots), dtype=np.float64)
         extra_m = np.zeros((count, slots), dtype=np.float64)
+        origin_x = np.zeros((count, slots), dtype=np.float64)
+        origin_y = np.zeros((count, slots), dtype=np.float64)
         valid[:, 0] = direct_dist <= field.comm_range_ft
         dists[:, 0] = direct_dist
         extra_m[:, 0] = extras
+        origin_x[:, 0] = view.xs[origin_rows]
+        origin_y[:, 0] = view.ys[origin_rows]
         for index, (near_a, near_b, latency) in enumerate(
             field.links, start=1
         ):
             # far_end checks end_a first: a sender near end_a exits at
             # end_b even when it is near both endpoints. The exit
             # distance is the *destination's* distance to that exit.
+            link = network.wormholes[index - 1]
             sender_near_a = near_a[origin_rows]
             dst_near_exit = np.where(
                 sender_near_a, near_b[dst_rows], near_a[dst_rows]
@@ -269,35 +229,37 @@ class _Wave:
             valid[:, index] = (
                 (sender_near_a | near_b[origin_rows]) & dst_near_exit
             )
-            exit_x = np.where(
-                sender_near_a,
-                field.network.wormholes[index - 1].end_b.x,
-                field.network.wormholes[index - 1].end_a.x,
+            origin_x[:, index] = np.where(
+                sender_near_a, link.end_b.x, link.end_a.x
             )
-            exit_y = np.where(
-                sender_near_a,
-                field.network.wormholes[index - 1].end_b.y,
-                field.network.wormholes[index - 1].end_a.y,
+            origin_y[:, index] = np.where(
+                sender_near_a, link.end_b.y, link.end_a.y
             )
-            dists[:, index] = _exact_distances(
-                view.xs[dst_rows], view.ys[dst_rows], exit_x, exit_y
+            dists[:, index] = exact_distances(
+                view.xs[dst_rows], view.ys[dst_rows],
+                origin_x[:, index], origin_y[:, index],
             )
             extra_m[:, index] = extras + latency
-        field.network.stats.distance_evals += count * len(field.links)
+        network.stats.distance_evals += count * len(field.links)
         flat = valid.ravel()
-        self.packet = np.repeat(np.arange(count), slots)[flat]
-        self.via_wormhole = np.tile(np.arange(slots) > 0, count)[flat]
-        self.dist = dists.ravel()[flat]
-        self.extra = extra_m.ravel()[flat]
+        copies = np.flatnonzero(flat)
         self.undelivered = np.flatnonzero(~valid.any(axis=1))
-        survivors = _channel_survivors(
-            field, packet_cls.__name__, now, self.packet, dst_rows, src_ids
+        copy_packet = copies // slots
+        scheduled, self.duplicated = _channel_copies(
+            field, kind, now, copy_packet, dst_rows, src_ids
         )
-        if survivors is not None:
-            self.packet = self.packet[survivors]
-            self.via_wormhole = self.via_wormhole[survivors]
-            self.dist = self.dist[survivors]
-            self.extra = self.extra[survivors]
+        copies = copies[scheduled]
+        self.packet = copy_packet[scheduled]
+        self.via_wormhole = copies % slots > 0
+        self.dist = dists.ravel()[copies]
+        self.origin_x = origin_x.ravel()[copies]
+        self.origin_y = origin_y.ravel()[copies]
+        self.extra = extra_m.ravel()[copies]
+        injector = network.fault_injector
+        if injector is not None and injector.duplication is not None:
+            self.extra = self.extra + np.where(
+                self.duplicated, injector.duplication.delay_cycles, 0.0
+            )
         self.dst_row = dst_rows[self.packet]
         # Scalar delay chain, elementwise: packet_time = airtime +
         # dist / c; delay = packet_time + extra (+ fault delay); time =
@@ -305,28 +267,32 @@ class _Wave:
         airtime = field.radio.airtime_cycles(packet_cls(src_id=0, dst_id=0))
         packet_time = airtime + self.dist / SPEED_OF_LIGHT_FT_PER_CYCLE
         delay = packet_time + self.extra
-        injector = field.network.fault_injector
         fault = injector.delay if injector is not None else None
+        events = self.dist.shape[0]
         if fault is not None and fault.rate > 0:
-            delayed = raw_uniforms(fault.rng, self.count) < fault.rate
+            delayed = raw_uniforms(fault.rng, events) < fault.rate
             fault.events += int(np.count_nonzero(delayed))
             delay = delay + np.where(delayed, fault.delay_cycles, 0.0)
         self.time = now[self.packet] + delay
         # The wave's ranging-noise batch, in scheduling order; measured
         # is the scalar max(0, dist + noise + bias) elementwise.
-        model = field.network.ranging_error
-        stream = field.network.rngs.stream("ranging")
+        model = network.ranging_error
         noise = batched_uniform(
-            stream, self.dist.shape[0], -model.max_error_ft,
+            network.rngs.stream("ranging"), events, -model.max_error_ft,
             model.max_error_ft,
         )
         self.measured = np.maximum(
             0.0, (self.dist + noise) + biases[self.packet]
         )
+        self.events = events
+        self.latest = float(self.time.max()) if events else None
+        crash = injector.crash if injector is not None else None
+        if crash is not None:
+            self._drop_crashed(field, crash, kind, src_ids)
         self.order = np.argsort(self.time, kind="stable")
         pipeline = field.pipeline
         pipeline._vec_bump("deliveries", self.count)
-        pipeline._vec_bump("noise_batched", self.count)
+        pipeline._vec_bump("noise_batched", events)
         pipeline._vec_bump("waves", 1)
 
     @property
@@ -334,83 +300,184 @@ class _Wave:
         """Number of delivered copies."""
         return int(self.dist.shape[0])
 
+    def _drop_crashed(
+        self, field: WaveField, crash, kind: str, src_ids: np.ndarray
+    ) -> None:
+        """Drop (and trace) each copy that reaches a receiver already down.
 
-def _channel_survivors(
-    field: _Field,
+        The scalar delivery event asks the crash model about its
+        receiver at arrival time, so ``crash_time`` is queried for
+        exactly the receivers of scheduled copies — its per-node event
+        counter must see the same set of nodes.
+        """
+        node_ids = field.view.node_ids
+        crash_at = np.full(field.view.count, np.inf)
+        for row in np.unique(self.dst_row).tolist():
+            when = crash.crash_time(int(node_ids[row]))
+            if when is not None:
+                crash_at[row] = when
+        alive = self.time < crash_at[self.dst_row]
+        for index in np.flatnonzero(~alive).tolist():
+            field.trace.record(
+                float(self.time[index]),
+                "drop.crashed",
+                src=int(src_ids[self.packet[index]]),
+                dst=int(node_ids[self.dst_row[index]]),
+                packet_kind=kind,
+            )
+        for name in (
+            "packet", "via_wormhole", "duplicated", "dist", "origin_x",
+            "origin_y", "extra", "dst_row", "time", "measured",
+        ):
+            setattr(self, name, getattr(self, name)[alive])
+
+
+def _channel_copies(
+    field: WaveField,
     kind: str,
     now: np.ndarray,
     packet: np.ndarray,
     dst_rows: np.ndarray,
     src_ids: np.ndarray,
-):
+) -> Tuple[np.ndarray, np.ndarray]:
     """The loss head of ``_schedule_delivery`` over a wave's copies.
 
-    One ``"network-loss"`` coin per scheduled copy, then one fault-loss
-    coin per copy that survived it, each batch in scheduling order on
-    its model's own stream. Model counters advance by the batch, and
-    every drop is traced (``drop.loss`` / ``drop.fault``, scheduling
-    time, packet source id, receiving node, packet kind) as the scalar
-    path traces it.
+    Without duplication: one ``"network-loss"`` coin per copy, then one
+    fault-loss coin per copy that survived it, each batch in scheduling
+    order on its model's own stream, with model counters advanced by
+    the batch. With a duplication fault, :func:`_duplicating_walk`
+    draws the same coins copy by copy. Every drop is traced
+    (``drop.loss`` / ``drop.fault``, scheduling time, packet source id,
+    receiving node, packet kind) as the scalar path traces it.
 
     Returns:
-        Indices of the surviving copies, or None when the channel is
-        lossless (nothing drawn, every copy survives).
+        ``(scheduled, duplicated)``: indices into ``packet`` of the
+        copies scheduled for delivery, in scalar scheduling order (a
+        duplicate repeats its original's index, just before it), and
+        which of them are duplicates.
     """
     network = field.network
-    loss_model = network.loss_model
     injector = network.fault_injector
-    fault = injector.loss if injector is not None else None
-    if loss_model is None and fault is None:
-        return None
     count = packet.shape[0]
-    survivors = np.arange(count)
-    drops = np.zeros(count, dtype=np.int8)  # 1 = drop.loss, 2 = drop.fault
-    if loss_model is not None:
-        lost = raw_uniforms(loss_model.rng, count) < loss_model.loss_rate
-        loss_model.attempts += count
-        loss_model.losses += int(np.count_nonzero(lost))
-        drops[lost] = 1
-        survivors = survivors[~lost]
-    if fault is not None:
-        dropped = raw_uniforms(fault.rng, survivors.shape[0]) < fault.rate
-        fault.events += int(np.count_nonzero(dropped))
-        drops[survivors[dropped]] = 2
-        survivors = survivors[~dropped]
+    if injector is not None and injector.duplication is not None:
+        scheduled, duplicated, drops = _duplicating_walk(
+            network.loss_model, injector, count
+        )
+    else:
+        scheduled, drops = _loss_masks(network.loss_model, injector, count)
+        duplicated = np.zeros(scheduled.shape[0], dtype=bool)
     node_ids = field.view.node_ids
-    for index in np.flatnonzero(drops).tolist():
+    for index, drop in drops:
         logical = packet[index]
         field.trace.record(
             float(now[logical]),
-            "drop.loss" if drops[index] == 1 else "drop.fault",
+            drop,
             src=int(src_ids[logical]),
             dst=int(node_ids[dst_rows[logical]]),
             packet_kind=kind,
         )
-    return survivors
+    return scheduled, duplicated
 
 
-class _TurboPhase:
-    """Shared bookkeeping for one turbo phase (two waves + finish)."""
+def _loss_masks(loss_model, injector, count: int):
+    """The loss head as two coin batches, for a channel that never duplicates.
+
+    Returns:
+        ``(scheduled, drops)`` as :func:`_duplicating_walk` returns them.
+    """
+    scheduled = np.arange(count)
+    fault = injector.loss if injector is not None else None
+    if loss_model is None and fault is None:
+        return scheduled, []
+    codes = np.zeros(count, dtype=np.int8)  # 1 = drop.loss, 2 = drop.fault
+    if loss_model is not None:
+        lost = raw_uniforms(loss_model.rng, count) < loss_model.loss_rate
+        loss_model.attempts += count
+        loss_model.losses += int(np.count_nonzero(lost))
+        codes[lost] = 1
+        scheduled = scheduled[~lost]
+    if fault is not None:
+        dropped = raw_uniforms(fault.rng, scheduled.shape[0]) < fault.rate
+        fault.events += int(np.count_nonzero(dropped))
+        codes[scheduled[dropped]] = 2
+        scheduled = scheduled[~dropped]
+    drops = [
+        (index, "drop.loss" if codes[index] == 1 else "drop.fault")
+        for index in np.flatnonzero(codes).tolist()
+    ]
+    return scheduled, drops
+
+
+def _duplicating_walk(loss_model, injector, count: int):
+    """The loss head copy by copy, for a channel that duplicates.
+
+    Per copy, in scheduling order and through the real models: the link
+    coin, the fault-loss coin, then the duplication coin. A duplicate
+    re-enters the head at once — its own link, fault-loss and
+    duplication coins (the last never honoured: a duplicate is not
+    duplicated again) — and is scheduled before its original, whose
+    delay and noise draws follow the duplicate's.
+
+    Returns:
+        ``(scheduled, duplicated, drops)`` as :func:`_channel_copies`
+        describes, plus the ``(copy index, drop kind)`` pairs to trace.
+    """
+    scheduled: List[int] = []
+    duplicated: List[bool] = []
+    drops: List[Tuple[int, str]] = []
+
+    def survives(index: int) -> bool:
+        if loss_model is not None and not loss_model.attempt_succeeds():
+            drops.append((index, "drop.loss"))
+            return False
+        if injector.drop_delivery():
+            drops.append((index, "drop.fault"))
+            return False
+        return True
+
+    for index in range(count):
+        if not survives(index):
+            continue
+        if injector.duplicate_delay() is not None and survives(index):
+            injector.duplicate_delay()
+            scheduled.append(index)
+            duplicated.append(True)
+        scheduled.append(index)
+        duplicated.append(False)
+    return (
+        np.array(scheduled, dtype=np.int64),
+        np.array(duplicated, dtype=bool),
+        drops,
+    )
+
+
+class WavePhase:
+    """Shared bookkeeping for one phase (two waves + finish)."""
 
     def __init__(self, pipeline) -> None:
-        self.field = _Field(pipeline)
+        self.field = WaveField(pipeline)
         self.pipeline = pipeline
         self.total_events = 0
         self.max_time = pipeline.engine.now()
         self._received = np.zeros(self.field.view.count, dtype=np.int64)
 
-    def account(self, wave: _Wave) -> None:
-        """Fold one wave's deliveries into engine/network bookkeeping."""
-        self.total_events += wave.count
-        if wave.count:
-            self.max_time = max(self.max_time, float(wave.time.max()))
+    def account(self, wave: Wave) -> None:
+        """Fold one wave's events and deliveries into the bookkeeping.
+
+        Every scheduled copy is one engine event and advances the clock,
+        a copy dropped at a crashed receiver included; only delivered
+        copies count as network deliveries and received packets.
+        """
+        self.total_events += wave.events
+        if wave.latest is not None:
+            self.max_time = max(self.max_time, wave.latest)
         self.field.network.stats.deliveries += wave.count
         self._received += np.bincount(
             wave.dst_row, minlength=self._received.shape[0]
         )
 
     def record_undelivered(
-        self, wave: _Wave, now: np.ndarray, src_ids: np.ndarray,
+        self, wave: Wave, now: np.ndarray, src_ids: np.ndarray,
         dst_rows: np.ndarray, kind: str,
     ) -> None:
         """Mirror the scalar ``drop.out_of_range`` trace per dead packet."""
@@ -431,9 +498,9 @@ class _TurboPhase:
         self.pipeline.engine.absorb_batch(self.total_events, self.max_time)
 
 
-def _serve_wave(
-    phase: _TurboPhase,
-    request_wave: _Wave,
+def serve_wave(
+    phase: WavePhase,
+    request_wave: Wave,
     req_src_ids: np.ndarray,
     req_origin_rows: np.ndarray,
 ) -> Tuple[np.ndarray, ...]:
@@ -528,7 +595,7 @@ def _serve_wave(
     )
 
 
-def _wormhole_verdicts(
+def wormhole_verdicts(
     detector: ProbabilisticWormholeDetector,
     evaluated: np.ndarray,
     fakes: np.ndarray,
@@ -585,338 +652,3 @@ def _wormhole_verdicts(
     detector.checks += int(np.count_nonzero(evaluated))
     detector.flags += int(np.count_nonzero(flagged))
     return flagged
-
-
-def run_detection_turbo(pipeline) -> None:
-    """The detection phase (§2.1-§2.2, §3.1) as two array-built waves."""
-    phase = _TurboPhase(pipeline)
-    field = phase.field
-    t0 = pipeline.engine.now()
-    view = field.view
-
-    # ------------------------------------------------------------------
-    # Probe fan-out (scalar build order: prober, target, detecting id).
-    # ------------------------------------------------------------------
-    src_chunks: List[np.ndarray] = []
-    dst_chunks: List[np.ndarray] = []
-    prober_chunks: List[np.ndarray] = []
-    nonce_chunks: List[np.ndarray] = []
-    bias_chunks: List[np.ndarray] = []
-    for beacon in pipeline.benign_beacons:
-        row = field.row(beacon.node_id)
-        targets = field.reachable_beacon_rows(row)
-        m = len(beacon.detecting_ids)
-        probes = targets.shape[0] * m
-        if probes == 0:
-            continue
-        src_chunks.append(
-            np.tile(
-                np.array(beacon.detecting_ids, dtype=np.int64),
-                targets.shape[0],
-            )
-        )
-        dst_chunks.append(np.repeat(targets, m))
-        prober_chunks.append(np.full(probes, row, dtype=np.int64))
-        nonce_chunks.append(beacon._next_nonce + np.arange(probes))
-        beacon._next_nonce += probes
-        if beacon.probe_power_randomization_ft > 0.0:
-            bias_chunks.append(
-                batched_uniform(
-                    pipeline.network.rngs.stream("probe-power"),
-                    probes,
-                    -beacon.probe_power_randomization_ft,
-                    beacon.probe_power_randomization_ft,
-                )
-            )
-        else:
-            bias_chunks.append(np.zeros(probes, dtype=np.float64))
-        pipeline._probes_sent += probes
-
-    if not src_chunks:
-        phase.finish()
-        return
-    req_src = np.concatenate(src_chunks)
-    req_dst_rows = np.concatenate(dst_chunks)
-    req_origin_rows = np.concatenate(prober_chunks)
-    req_biases = np.concatenate(bias_chunks)
-    req_dists = _exact_distances(
-        view.xs[req_origin_rows],
-        view.ys[req_origin_rows],
-        view.xs[req_dst_rows],
-        view.ys[req_dst_rows],
-    )
-    field.network.stats.distance_evals += int(req_dists.shape[0])
-    req_now = np.full(req_src.shape[0], t0, dtype=np.float64)
-    request_wave = _Wave(
-        field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
-        req_dists, np.zeros(req_src.shape[0]), req_biases, req_src,
-    )
-    phase.record_undelivered(
-        request_wave, req_now, view.node_ids[req_origin_rows],
-        req_dst_rows, "BeaconRequest",
-    )
-    phase.account(request_wave)
-
-    # ------------------------------------------------------------------
-    # Serve requests; build and deliver the reply wave.
-    # ------------------------------------------------------------------
-    (
-        resp_rows, prober_rows, reply_src, reply_dst, claimed_x, claimed_y,
-        biases, extras, fakes, reply_now,
-    ) = _serve_wave(phase, request_wave, req_src, req_origin_rows)
-    # Reply direct distance = request direct distance (|dx|, |dy| are
-    # identical either way, and hypot is sign-symmetric).
-    reply_direct = req_dists[request_wave.packet[request_wave.order]]
-    reply_wave = _Wave(
-        field, BeaconPacket, reply_now, resp_rows, prober_rows,
-        reply_direct, extras, biases, reply_src,
-    )
-    phase.record_undelivered(
-        reply_wave, reply_now, reply_src, prober_rows, "BeaconPacket",
-    )
-    phase.account(reply_wave)
-
-    # ------------------------------------------------------------------
-    # Process probe replies in delivery order (§2.1, §2.2, §3.1).
-    # ------------------------------------------------------------------
-    order = reply_wave.order
-    rep = reply_wave.packet[order]
-    times = reply_wave.time[order]
-    measured = reply_wave.measured[order]
-    d_prober_rows = prober_rows[rep]
-    calculated = _exact_distances(
-        view.xs[d_prober_rows], view.ys[d_prober_rows],
-        claimed_x[rep], claimed_y[rep],
-    )
-    field.network.stats.distance_evals += int(calculated.shape[0])
-    thresholds = np.array(
-        [
-            field.nodes[row].signal_detector.max_error_ft
-            for row in d_prober_rows
-        ],
-        dtype=np.float64,
-    )
-    inconsistent = discrepancy_mask(calculated, measured, thresholds)
-
-    bad = np.flatnonzero(inconsistent)
-    rtts = batched_rtt(
-        field.network.rngs.stream("rtt"),
-        field.network.rtt_model,
-        reply_wave.dist[order][bad],
-        reply_wave.extra[order][bad],
-        times[bad],
-    )
-    pipeline._vec_bump("rtt_batched", int(bad.shape[0]))
-    # Hot Python loops below index these thousands of times; plain
-    # lists hold the identical values without per-access conversion.
-    prober_bad = d_prober_rows[bad].tolist()
-    rtts_list = observe_rtts(
-        field.network, rtts, [field.nodes[row] for row in prober_bad]
-    )
-
-    # The cascade over the inconsistent subset, knows_location=True:
-    # the §2.2.1 range check is decisive on its own (no detector call).
-    range_flagged = calculated[bad] > field.comm_range_ft
-    detector_flagged = _wormhole_verdicts(
-        pipeline.benign_beacons[0].filter_cascade.wormhole_detector,
-        ~range_flagged,
-        fakes[rep][bad],
-        reply_wave.via_wormhole[order][bad],
-        view.node_ids[d_prober_rows[bad]],
-        reply_src[rep][bad],
-    )
-    wormhole_flagged = range_flagged | detector_flagged
-    local_flagged = np.zeros(bad.shape[0], dtype=bool)
-    for position in np.flatnonzero(~wormhole_flagged).tolist():
-        prober = field.nodes[prober_bad[position]]
-        local_flagged[position] = (
-            prober.filter_cascade.local_replay_detector.is_replayed(
-                rtts_list[position]
-            )
-        )
-    decisions = np.where(
-        wormhole_flagged,
-        "replayed_wormhole",
-        np.where(local_flagged, "replayed_local", "alert"),
-    )
-
-    # Outcome/trace/alert recording, in delivery order.
-    trace = field.trace
-    nodes = field.nodes
-    src_list = reply_src[rep].tolist()
-    dst_list = reply_dst[rep].tolist()
-    times_list = times.tolist()
-    prober_list = d_prober_rows.tolist()
-    decision_list = ["consistent"] * rep.shape[0]
-    for position, index in enumerate(bad.tolist()):
-        decision_list[index] = str(decisions[position])
-    for index in range(len(decision_list)):
-        prober = nodes[prober_list[index]]
-        decision = decision_list[index]
-        prober.probe_outcomes.append(
-            ProbeOutcome(
-                detecting_id=dst_list[index],
-                target_id=src_list[index],
-                decision=decision,
-            )
-        )
-        trace.record(
-            times_list[index],
-            "probe",
-            detector=prober.node_id,
-            detecting_id=dst_list[index],
-            target=src_list[index],
-            decision=decision,
-            signal_consistent=decision == "consistent",
-        )
-        if decision == "alert":
-            prober.report_alert(src_list[index], time=times_list[index])
-
-    phase.finish()
-
-
-def run_localization_turbo(pipeline) -> None:
-    """The localization phase (§4 stage 1) as two array-built waves."""
-    phase = _TurboPhase(pipeline)
-    field = phase.field
-    t0 = pipeline.engine.now()
-    view = field.view
-
-    # ------------------------------------------------------------------
-    # Beacon requests (scalar build order: agent, then target id order).
-    # ------------------------------------------------------------------
-    src_chunks: List[np.ndarray] = []
-    dst_chunks: List[np.ndarray] = []
-    agent_chunks: List[np.ndarray] = []
-    for agent in pipeline.agents:
-        row = field.row(agent.node_id)
-        targets = field.reachable_beacon_rows(row)
-        k = targets.shape[0]
-        if k == 0:
-            continue
-        src_chunks.append(np.full(k, agent.node_id, dtype=np.int64))
-        dst_chunks.append(targets)
-        agent_chunks.append(np.full(k, row, dtype=np.int64))
-        agent._next_nonce += k
-
-    if not src_chunks:
-        phase.finish()
-        return
-    req_src = np.concatenate(src_chunks)
-    req_dst_rows = np.concatenate(dst_chunks)
-    req_origin_rows = np.concatenate(agent_chunks)
-    req_dists = _exact_distances(
-        view.xs[req_origin_rows],
-        view.ys[req_origin_rows],
-        view.xs[req_dst_rows],
-        view.ys[req_dst_rows],
-    )
-    field.network.stats.distance_evals += int(req_dists.shape[0])
-    req_now = np.full(req_src.shape[0], t0, dtype=np.float64)
-    request_wave = _Wave(
-        field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
-        req_dists, np.zeros(req_src.shape[0]), np.zeros(req_src.shape[0]),
-        req_src,
-    )
-    phase.record_undelivered(
-        request_wave, req_now, req_src, req_dst_rows, "BeaconRequest",
-    )
-    phase.account(request_wave)
-
-    (
-        resp_rows, agent_req_rows, reply_src, _reply_dst, claimed_x,
-        claimed_y, biases, extras, fakes, reply_now,
-    ) = _serve_wave(phase, request_wave, req_src, req_origin_rows)
-    reply_direct = req_dists[request_wave.packet[request_wave.order]]
-    reply_wave = _Wave(
-        field, BeaconPacket, reply_now, resp_rows, agent_req_rows,
-        reply_direct, extras, biases, reply_src,
-    )
-    phase.record_undelivered(
-        reply_wave, reply_now, reply_src, agent_req_rows, "BeaconPacket",
-    )
-    phase.account(reply_wave)
-
-    # ------------------------------------------------------------------
-    # Reference collection in delivery order (§2.2 filters, then §4).
-    # ------------------------------------------------------------------
-    order = reply_wave.order
-    rep = reply_wave.packet[order]
-    times = reply_wave.time[order]
-    measured = reply_wave.measured[order]
-    d_agent_rows = agent_req_rows[rep]
-    src_all = reply_src[rep]
-
-    # Revocation filtering precedes the RTT draw in the scalar handler,
-    # and no new revocations occur during localization (only detecting
-    # beacons alert), so filtering the whole batch up front is exact —
-    # the same argument the replay tier relies on.
-    agents_by_row = {
-        field.row(agent.node_id): agent for agent in pipeline.agents
-    }
-    src_list = src_all.tolist()
-    agent_rows_list = d_agent_rows.tolist()
-    kept = np.flatnonzero(
-        np.array(
-            [
-                src_list[i]
-                not in agents_by_row[agent_rows_list[i]].revoked_beacons
-                for i in range(len(src_list))
-            ],
-            dtype=bool,
-        )
-    )
-    rtts = batched_rtt(
-        field.network.rngs.stream("rtt"),
-        field.network.rtt_model,
-        reply_wave.dist[order][kept],
-        reply_wave.extra[order][kept],
-        times[kept],
-    )
-    pipeline._vec_bump("rtt_batched", int(kept.shape[0]))
-    agent_kept = [agents_by_row[agent_rows_list[i]] for i in kept.tolist()]
-    rtts_list = observe_rtts(field.network, rtts, agent_kept)
-
-    # Cascade, knows_location=False: every kept copy reaches the
-    # wormhole detector; survivors face the per-agent RTT filter.
-    wormhole_flagged = _wormhole_verdicts(
-        pipeline.agents[0].filter_cascade.wormhole_detector,
-        np.ones(kept.shape[0], dtype=bool),
-        fakes[rep][kept],
-        reply_wave.via_wormhole[order][kept],
-        view.node_ids[d_agent_rows[kept]],
-        src_all[kept],
-    )
-    local_flagged = np.zeros(kept.shape[0], dtype=bool)
-    for position in np.flatnonzero(~wormhole_flagged).tolist():
-        agent = agent_kept[position]
-        local_flagged[position] = (
-            agent.filter_cascade.local_replay_detector.is_replayed(
-                rtts_list[position]
-            )
-        )
-    rejected = wormhole_flagged | local_flagged
-
-    counts = np.bincount(d_agent_rows[kept[rejected]], minlength=view.count)
-    for row in np.flatnonzero(counts):
-        agents_by_row[int(row)].rejected_replays += int(counts[row])
-
-    claimed_kept_x = claimed_x[rep][kept].tolist()
-    claimed_kept_y = claimed_y[rep][kept].tolist()
-    measured_kept = measured[kept].tolist()
-    times_kept = times[kept].tolist()
-    src_kept = src_all[kept].tolist()
-    for position in np.flatnonzero(~rejected).tolist():
-        agent_kept[position].references.append(
-            LocationReference(
-                beacon_id=src_kept[position],
-                beacon_location=Point(
-                    claimed_kept_x[position],
-                    claimed_kept_y[position],
-                ),
-                measured_distance_ft=measured_kept[position],
-                received_at=times_kept[position],
-            )
-        )
-
-    phase.finish()

@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.replay_filter import ReplayFilterCascade
 from repro.core.revocation import BaseStation, RevocationConfig
@@ -30,6 +30,7 @@ from repro.core.rtt import LocalReplayDetector, RttCalibration, calibration_from
 from repro.core.signal_detector import MaliciousSignalDetector
 from repro.crypto.manager import KeyManager
 from repro.errors import CalibrationError
+from repro.faults.config import FaultConfig
 from repro.sim.messages import BeaconPacket
 from repro.sim.radio import Reception
 from repro.sim.rng import derive_seed
@@ -60,10 +61,6 @@ class DifferentialReport:
     component: str
     scenarios: int
     divergences: List[Divergence] = field(default_factory=list)
-    #: Per-scenario tier tags, ``{phase: tier}``, for components that
-    #: route scenarios through different execution tiers (empty
-    #: otherwise).
-    tiers: List[Dict[str, str]] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
@@ -372,7 +369,6 @@ def differential_pipeline_axes(
     """
     from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
     from repro.experiments.runner import collect_metrics
-    from repro.faults.config import FaultConfig
     from repro.obs import ObserveConfig
 
     report = DifferentialReport("pipeline_axes", scenarios)
@@ -420,6 +416,56 @@ def differential_pipeline_axes(
     return report
 
 
+#: The delivery envelopes :func:`differential_vectorized_core` cycles,
+#: as ``PipelineConfig`` overrides; None is probabilistic false alarms
+#: (the rate is drawn per scenario).
+VEC_ENVELOPES: Tuple[Optional[dict], ...] = (
+    {},
+    dict(
+        faults=FaultConfig(
+            packet_loss_rate=0.05,
+            delivery_delay_rate=0.1,
+            delivery_delay_cycles=1500.0,
+            rtt_jitter_cycles=40.0,
+        )
+    ),
+    dict(network_loss_rate=0.1),
+    None,
+    dict(
+        faults=FaultConfig(
+            packet_loss_rate=0.05,
+            rtt_jitter_cycles=750.0,
+            node_crash_rate=0.1,
+        )
+    ),
+    # Duplicates re-enter scheduling; the crash horizon spans both
+    # phases, so some copies reach a receiver that went down after they
+    # were sent.
+    dict(
+        network_loss_rate=0.05,
+        faults=FaultConfig(
+            packet_duplication_rate=0.05,
+            duplicate_delay_cycles=3000.0,
+            node_crash_rate=0.1,
+            crash_horizon_cycles=700_000.0,
+        ),
+    ),
+)
+
+
+def vec_scenario_axes(index: int) -> Tuple[int, str]:
+    """Scenario ``index``'s envelope (into :data:`VEC_ENVELOPES`) and detector.
+
+    The envelope advances every other scenario (the wormhole alternates
+    in between) and the detector once per sweep of the envelopes.
+    """
+    from repro.detectors import available_detectors
+
+    detectors = available_detectors()
+    cycle, envelope = divmod(index // 2, len(VEC_ENVELOPES))
+    return envelope, detectors[cycle % len(detectors)]
+
+
 def differential_vectorized_core(
     scenarios: int = 8, seed: int = 0
 ) -> DifferentialReport:
@@ -427,20 +473,15 @@ def differential_vectorized_core(
 
     Each scenario builds one small randomized deployment and runs it
     twice — ``use_vectorized_core`` off and on. Three axes cycle
-    independently: the wormhole every scenario, and — every other
-    scenario — the delivery envelope (clean, injected faults, link
-    loss, probabilistic false alarms, loss + RTT jitter + node crashes)
-    and the detector (every registered one). While the envelope and
-    detector cycle lengths are coprime (5 envelopes, 4 detectors),
-    ``2 * 5 * len(available_detectors())`` scenarios — the suite
-    default, 40 — cover the full cross product. Both tiers of the batch
-    path are exercised: the fully array-built turbo tier (clean,
-    false-alarm, lossy and jittery channels; ``paper`` detection and
-    every detector's localization) and the per-delivery replay tier
-    (node crashes and every rival detector's detection). Each scenario
-    is tagged in ``report.tiers`` with the tier its detection and
-    localization took: ``"turbo"`` on a clean channel,
-    ``"turbo+faults"`` on a lossy or faulted one, or ``"replay"``.
+    (:func:`vec_scenario_axes`): the wormhole every scenario; every
+    other scenario the delivery envelope (:data:`VEC_ENVELOPES`: clean,
+    injected faults, link loss, probabilistic false alarms, loss + RTT
+    jitter + node crashes, and packet duplication under link loss with
+    mid-phase crashes); and, once per sweep of the envelopes, the
+    detector (every registered one). So
+    ``2 * 6 * len(available_detectors())`` scenarios — 48 — cover the
+    full cross product, and the suite default of 40 reaches every
+    envelope and every detector.
     The complete ``PipelineResult`` objects must compare equal — every
     rate, every localization error, every affected-node id, to the
     last bit. "Tolerance-identical" for this substrate *is* exact
@@ -451,34 +492,12 @@ def differential_vectorized_core(
     import dataclasses as _dc
 
     from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
-    from repro.detectors import available_detectors
-    from repro.faults.config import FaultConfig
 
-    envelopes = (
-        {},
-        dict(
-            faults=FaultConfig(
-                packet_loss_rate=0.05,
-                delivery_delay_rate=0.1,
-                delivery_delay_cycles=1500.0,
-                rtt_jitter_cycles=40.0,
-            )
-        ),
-        dict(network_loss_rate=0.1),
-        None,  # probabilistic false alarms, rate drawn per scenario
-        dict(
-            faults=FaultConfig(
-                packet_loss_rate=0.05,
-                rtt_jitter_cycles=750.0,
-                node_crash_rate=0.1,
-            )
-        ),
-    )
-    detectors = available_detectors()
     report = DifferentialReport("vectorized_core", scenarios)
     for i in range(scenarios):
         rng = _rng(seed, "veccore", i)
-        envelope = envelopes[(i // 2) % len(envelopes)]
+        envelope_index, detector = vec_scenario_axes(i)
+        envelope = VEC_ENVELOPES[envelope_index]
         kwargs = dict(
             n_total=rng.randint(40, 70),
             n_beacons=rng.randint(8, 14),
@@ -492,7 +511,7 @@ def differential_vectorized_core(
             wormhole_endpoints=(
                 ((100.0, 100.0), (400.0, 350.0)) if i % 2 == 0 else None
             ),
-            detector=detectors[(i // 2) % len(detectors)],
+            detector=detector,
         )
         if envelope is None:
             kwargs["wormhole_false_alarm_rate"] = rng.choice([0.05, 0.2])
@@ -501,17 +520,9 @@ def differential_vectorized_core(
         scalar = SecureLocalizationPipeline(
             PipelineConfig(**kwargs, use_vectorized_core=False)
         ).run()
-        vec_pipeline = SecureLocalizationPipeline(
+        vectorized = SecureLocalizationPipeline(
             PipelineConfig(**kwargs, use_vectorized_core=True)
-        )
-        vectorized = vec_pipeline.run()
-        faulted = "faults" in kwargs or "network_loss_rate" in kwargs
-        report.tiers.append(
-            {
-                phase: tier + "+faults" if tier == "turbo" and faulted else tier
-                for phase, tier in vec_pipeline._vec_tiers.items()
-            }
-        )
+        ).run()
         if scalar != vectorized:
             diff_fields = sorted(
                 f.name

@@ -10,9 +10,9 @@ differently and shows up here immediately.
 
 The remaining tests pin the arena-wide seams: every registered detector
 is deterministic under a fixed seed and insensitive to worker count,
-every detector is admitted to the vectorized core and localizes on its
-array-built turbo tier, only ``paper`` also detects there, and fault
-injection composes with rival detectors deterministically.
+every detector is admitted to the vectorized core and runs both phases
+there, and fault injection composes with rival detectors
+deterministically.
 """
 
 import pytest
@@ -23,7 +23,6 @@ from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentRunner, collect_metrics
 from repro.faults import FaultConfig
 from repro.vec import vectorized_core_supported
-from repro.vec.turbo import turbo_supported
 
 #: The pre-refactor capture deployment.
 SMALL = dict(
@@ -137,29 +136,28 @@ class TestEveryDetectorDeterministic:
 
 
 class TestRivalsStayScalar:
-    """Rivals judge exchanges with their scalar ``evaluate``, never turbo.
+    """Rivals judge exchanges with their scalar ``evaluate``.
 
-    Only their detection phase stays off turbo: localization never
-    consults the detector, so every detector localizes on turbo.
+    The vectorized core admits every detector and runs both phases for
+    all of them; it hands rivals each delivered reply in order.
     """
 
     @pytest.mark.parametrize("name", available_detectors())
     def test_vectorized_core_gate(self, name):
-        config = PipelineConfig(detector=name, seed=0, **TINY)
-        # Every detector is admitted to the vec core (its replay tier)...
-        assert vectorized_core_supported(config)
-        # ...but turbo's verdict kernel is the paper cascade, so turbo
-        # detection admits only the paper detector. Localization never
-        # consults the detector and takes turbo for all of them, on a
-        # lossy, jittery channel too.
+        # On a clean and on a lossy, jittery channel alike.
         for faults in (None, FaultConfig(packet_loss_rate=0.05,
                                          rtt_jitter_cycles=750.0)):
-            pipeline = SecureLocalizationPipeline(
-                PipelineConfig(detector=name, seed=0, faults=faults, **TINY)
+            config = PipelineConfig(
+                detector=name, seed=0, faults=faults,
+                **dict(TINY, use_vectorized_core=True),
             )
-            pipeline.build()
-            assert turbo_supported(pipeline, "detection") == (name == "paper")
-            assert turbo_supported(pipeline, "localization")
+            assert vectorized_core_supported(config)
+            pipeline = SecureLocalizationPipeline(config)
+            pipeline.run()
+            assert pipeline._vec_active
+            # Detection and localization each ran as two array-built
+            # waves (requests, then replies).
+            assert pipeline._vec_counters["waves"] == 4
 
     def test_unknown_detector_rejected_at_config_time(self):
         with pytest.raises(ConfigurationError, match="detector"):

@@ -3,21 +3,16 @@
 ``use_vectorized_core=True`` promises *bit-identical* trials, not
 statistically similar ones — the RNG stream-parity rules in
 ``docs/PERFORMANCE.md`` are what make that possible. These tests run
-small deployments through both cores across the envelope axes that
-select different vec tiers and compare the results with ``==``:
-
-- the turbo tier (array-built waves) covers clean channels and lossy,
-  jittery ones — network loss, fault loss and delivery delay, RTT
-  jitter/spikes and clock drift — for ``paper`` detection and for
-  every detector's localization;
-- the per-delivery replay tier covers packet duplication and node
-  crashes, and every rival detector's detection phase.
-
-Each case's name prefix is the tier ``paper`` detection takes, and the
-test asserts the tier actually taken. Beyond the results, every case
-compares the trace's record counts per kind (except ``deliver``, which
-turbo does not record), the drop records themselves, the fault
-injector's counters and the link-loss model's counters.
+small deployments through both cores and compare the results with
+``==``. Every registered detector runs every envelope: clean channels,
+link loss, fault loss and delivery delay, RTT jitter/spikes and clock
+drift, packet duplication, node crashes (from the start, and mid-phase
+at arrival time), and their combinations, with and without a wormhole
+and with positive false-alarm rates. Beyond the results, every case
+compares per-prober verdicts, rejected replays, the clock and event
+count, the trace's record counts per kind (except ``deliver``, which
+the vectorized core does not record), the drop records themselves, the
+fault injector's counters and the link-loss model's counters.
 """
 
 from collections import Counter
@@ -57,19 +52,22 @@ FAULTS = FaultConfig(
     clock_drift_ppm=40.0,
 )
 
-#: Every per-copy and per-observation fault turbo draws as a mask:
-#: ``FAULTS`` without duplication (and without crashes).
+#: Every per-copy and per-observation fault but duplication and crashes.
 CHANNEL_FAULTS = replace(
     FAULTS, packet_duplication_rate=0.0, packet_loss_rate=0.08
 )
 
-#: Duplication alone keeps a config on the replay tier.
 DUPLICATION = FaultConfig(
     packet_duplication_rate=0.05, duplicate_delay_cycles=5000.0
 )
 
-#: Lossy, jittery channels turbo admits, as ``PipelineConfig`` overrides.
-TURBO_CHANNELS = {
+#: Crashes spread over both phases of ``BASE`` (detection ends near
+#: 350k cycles, localization near 700k), so copies in flight meet
+#: receivers that went down after they were sent.
+MID_PHASE_CRASHES = dict(node_crash_rate=0.15, crash_horizon_cycles=700_000.0)
+
+#: Lossy, jittery channels, as ``PipelineConfig`` overrides.
+CHANNELS = {
     "fault-loss": dict(faults=FaultConfig(packet_loss_rate=0.1)),
     "network-loss": dict(network_loss_rate=0.12),
     # Link loss stacked under fault loss: the fault coins are drawn
@@ -77,20 +75,21 @@ TURBO_CHANNELS = {
     "channel-faults": dict(faults=CHANNEL_FAULTS, network_loss_rate=0.06),
 }
 
+#: Every envelope, keyed by test id. Ids stay stable, so the
+#: ``turbo-``/``replay-`` prefixes are only names now (every case runs
+#: the one vec engine), and ``clean``, ``loss`` and ``faults`` repeat
+#: ``turbo-wormhole``, ``turbo-network-loss`` and ``replay-faults``.
 CASES = {
-    # Fault-free wormhole deployment: the fully array-built turbo tier.
     "turbo-wormhole": BASE,
     "turbo-no-wormhole": replace(BASE, wormhole_endpoints=None),
     "turbo-no-malicious": replace(BASE, n_malicious=0),
     "turbo-other-seed": replace(BASE, seed=101),
-    # Positive false-alarm rates stay turbo-eligible: the ordered
-    # verdict walk keeps the wormhole stream in scalar lockstep.
+    # Positive false-alarm rates: the ordered verdict walk keeps the
+    # wormhole stream in scalar lockstep.
     "turbo-false-alarm": replace(BASE, wormhole_false_alarm_rate=0.1),
     "turbo-false-alarm-no-wormhole": replace(
         BASE, wormhole_endpoints=None, wormhole_false_alarm_rate=0.3
     ),
-    # Duplication (with or without loss) and crashes: the per-delivery
-    # replay tier.
     "replay-loss": replace(BASE, network_loss_rate=0.12, faults=DUPLICATION),
     "replay-loss-false-alarm": replace(
         BASE,
@@ -105,10 +104,24 @@ CASES = {
     "replay-crash": replace(
         BASE, faults=replace(CHANNEL_FAULTS, node_crash_rate=0.1)
     ),
+    "clean": BASE,
+    "faults": replace(BASE, faults=FAULTS),
+    "loss": replace(BASE, network_loss_rate=0.12),
+    "loss-jitter": replace(
+        BASE,
+        faults=FaultConfig(packet_loss_rate=0.05, rtt_jitter_cycles=750.0),
+    ),
+    "duplication": replace(BASE, faults=DUPLICATION),
+    "crash": replace(BASE, faults=FaultConfig(**MID_PHASE_CRASHES)),
+    "duplication-crash-loss": replace(
+        BASE,
+        network_loss_rate=0.08,
+        faults=replace(DUPLICATION, **MID_PHASE_CRASHES),
+    ),
 }
-# Lossy, jittery channels on turbo: each with and without a wormhole,
-# and with a positive false-alarm rate.
-for _channel, _overrides in TURBO_CHANNELS.items():
+# Lossy, jittery channels: each with and without a wormhole, and with
+# a positive false-alarm rate.
+for _channel, _overrides in CHANNELS.items():
     CASES[f"turbo-{_channel}"] = replace(BASE, **_overrides)
     CASES[f"turbo-{_channel}-no-wormhole"] = replace(
         BASE, wormhole_endpoints=None, **_overrides
@@ -123,19 +136,6 @@ def _run(config, *, vectorized):
         replace(config, use_vectorized_core=vectorized)
     )
     return pipeline, pipeline.run()
-
-
-#: Rival detectors never take turbo for detection; their localization
-#: takes turbo wherever ``paper``'s would.
-RIVAL_ENVELOPES = {
-    "clean": BASE,
-    "faults": replace(BASE, faults=FAULTS),
-    "loss": replace(BASE, network_loss_rate=0.12),
-    "loss-jitter": replace(
-        BASE,
-        faults=FaultConfig(packet_loss_rate=0.05, rtt_jitter_cycles=750.0),
-    ),
-}
 
 
 def _trace_kinds(pipeline):
@@ -203,72 +203,47 @@ def _assert_parity(config):
             == scalar_pipeline.fault_injector.counters()
         )
     assert _loss_counters(vec_pipeline) == _loss_counters(scalar_pipeline)
-    return vec_pipeline
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_vectorized_core_reproduces_scalar_trial(name):
-    vec_pipeline = _assert_parity(CASES[name])
-    tier = name.split("-", 1)[0]
-    assert vec_pipeline._vec_tiers == {
-        "detection": tier, "localization": tier,
-    }
+    _assert_parity(CASES[name])
 
 
-@pytest.mark.parametrize("envelope", sorted(RIVAL_ENVELOPES))
+@pytest.mark.parametrize("envelope", sorted(CASES))
 @pytest.mark.parametrize(
     "detector", [d for d in available_detectors() if d != "paper"]
 )
 def test_rival_detector_replay_reproduces_scalar_trial(detector, envelope):
-    vec_pipeline = _assert_parity(
-        replace(RIVAL_ENVELOPES[envelope], detector=detector)
-    )
-    assert vec_pipeline._vec_tiers == {
-        "detection": "replay",
-        "localization": "replay" if envelope == "faults" else "turbo",
-    }
+    _assert_parity(replace(CASES[envelope], detector=detector))
 
 
-def _built(**overrides):
-    pipeline = SecureLocalizationPipeline(
-        replace(BASE, use_vectorized_core=True, **overrides)
-    )
-    return pipeline.build()
+@pytest.mark.parametrize("detector", available_detectors())
+def test_rtt_observations_match_scalar(detector):
+    """Every RTT observation, in order, with its observer.
 
+    The checks above see an RTT only through the §2.2.2 window test;
+    this pins the observations themselves — the exit endpoint, extra
+    delay and arrival time each reply's draw is made with.
+    """
 
-def test_turbo_tier_engaged_on_fault_free_config():
-    """The fast tier must actually be selected where it is claimed to."""
-    from repro.vec.turbo import turbo_supported
+    def observations(vectorized):
+        pipeline = SecureLocalizationPipeline(
+            replace(
+                CASES["replay-faults"],
+                detector=detector,
+                use_vectorized_core=vectorized,
+            )
+        )
+        pipeline.build()
+        seen = []
+        pipeline.network.rtt_observer = lambda rtt, node: seen.append(
+            (node.node_id, rtt)
+        )
+        pipeline.run()
+        return seen
 
-    def tiers(pipeline):
-        return [
-            turbo_supported(pipeline, phase)
-            for phase in ("detection", "localization")
-        ]
-
-    assert tiers(_built()) == [True, True]
-    # Lossy and jittery channels are masks on turbo: link loss, fault
-    # loss and delay, RTT jitter/spikes and clock drift.
-    assert tiers(_built(network_loss_rate=0.1)) == [True, True]
-    assert tiers(_built(faults=CHANNEL_FAULTS)) == [True, True]
-    # Duplication and crashes still replay per delivery.
-    assert tiers(_built(faults=FAULTS)) == [False, False]
-    assert tiers(_built(faults=DUPLICATION)) == [False, False]
-    assert tiers(
-        _built(faults=FaultConfig(node_crash_rate=0.1))
-    ) == [False, False]
-    # A positive false-alarm rate no longer demotes the config to the
-    # replay tier (the ordered verdict walk preserves stream parity).
-    assert tiers(_built(wormhole_false_alarm_rate=0.2)) == [True, True]
-    # Rival detectors localize on turbo but detect on replay.
-    for detector in available_detectors():
-        expected = [detector == "paper", True]
-        assert tiers(_built(detector=detector)) == expected
-        assert tiers(
-            _built(detector=detector, faults=CHANNEL_FAULTS)
-        ) == expected
-    with pytest.raises(ValueError):
-        turbo_supported(_built(), "metrics")
+    assert observations(True) == observations(False)
 
 
 #: One agent's distinct references (beacon id, x, y, measured range)
@@ -302,6 +277,6 @@ def test_batched_solver_matches_scalar_on_pow_sensitive_seed():
 
 @pytest.mark.slow
 def test_default_deployment_turbo_trial_matches_scalar_to_the_bit():
-    # The full Section 4 deployment on the turbo tier, at the seed whose
+    # The full Section 4 deployment, at the seed whose
     # localization phase meets the pow-sensitive references above.
     _assert_parity(PipelineConfig(seed=481967354))

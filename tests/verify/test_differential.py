@@ -7,6 +7,7 @@ every component and the divergence-reporting plumbing.
 
 import pytest
 
+from repro.detectors import available_detectors
 from repro.verify import (
     DifferentialReport,
     differential_base_station,
@@ -17,6 +18,7 @@ from repro.verify import (
     differential_vectorized_core,
     run_differential_suite,
 )
+from repro.verify.differential import VEC_ENVELOPES, vec_scenario_axes
 
 SCENARIOS = 150
 
@@ -58,17 +60,19 @@ class TestVectorizedCore:
         report = differential_vectorized_core(2, seed=0)
         assert report.ok, "\n".join(d.detail for d in report.divergences)
 
-    def test_default_scenarios_cover_every_tier(self):
-        # The suite default (40 scenarios) must keep exercising turbo on
-        # a clean channel, turbo on a lossy/faulted one, and replay —
-        # otherwise the differential could silently stop checking a tier.
+    def test_default_scenarios_cover_every_envelope_and_detector(self):
+        # The suite default (40 scenarios) must keep reaching every
+        # delivery envelope and every detector — otherwise the
+        # differential could silently stop checking one of them.
+        axes = [vec_scenario_axes(i) for i in range(40)]
+        assert {envelope for envelope, _ in axes} == set(
+            range(len(VEC_ENVELOPES))
+        )
+        assert {detector for _, detector in axes} == set(
+            available_detectors()
+        )
         report = differential_vectorized_core(40, seed=0)
         assert report.ok, "\n".join(d.detail for d in report.divergences)
-        assert len(report.tiers) == 40
-        hit = {tier for tags in report.tiers for tier in tags.values()}
-        assert {"turbo", "turbo+faults", "replay"} <= hit
-        assert all(set(tags) == {"detection", "localization"}
-                   for tags in report.tiers)
 
 
 class TestReport:

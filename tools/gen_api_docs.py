@@ -13,7 +13,7 @@ fault-injection and experiment-execution layers:
 - ``repro.verify`` (oracles, differential, invariants, detectors,
   statgate, cli)
 - ``repro.vec`` (arrays, geometry, measurement, detection,
-  localization, replay, turbo)
+  localization, turbo)
 
 For every module it emits the docstring summary (plus its ``Paper
 section:`` line when the module carries one); for every public class,
@@ -87,7 +87,6 @@ MODULES = [
     ("repro.vec.measurement", SRC / "repro" / "vec" / "measurement.py"),
     ("repro.vec.detection", SRC / "repro" / "vec" / "detection.py"),
     ("repro.vec.localization", SRC / "repro" / "vec" / "localization.py"),
-    ("repro.vec.replay", SRC / "repro" / "vec" / "replay.py"),
     ("repro.vec.turbo", SRC / "repro" / "vec" / "turbo.py"),
 ]
 
