@@ -410,7 +410,7 @@ class SecureLocalizationPipeline:
             sampler=calibration_sampler,
         )
         if calibration_sampler is not None:
-            self._vec_bump("vec_calibration_rtts", cfg.rtt_calibration_samples)
+            self._vec_bump("calibration_rtts", cfg.rtt_calibration_samples)
         if rtt_histograms:
             self.network.rtt_observer = self._make_rtt_observer(obs)
 

@@ -107,18 +107,6 @@ def execute_pipeline(config: PipelineConfig) -> Dict[str, float]:
     return collect_metrics(SecureLocalizationPipeline(config).run())
 
 
-def execute_pipeline_profiled(config: PipelineConfig) -> Dict[str, Any]:
-    """Run one pipeline, returning metrics plus its profile snapshot.
-
-    The profiled worker entry point: ``{"metrics": {...}, "profile":
-    {"phases": ..., "counters": ...}}``. Metrics are identical to
-    :func:`execute_pipeline` (the always-on instrumentation draws no
-    random numbers). Kept as the historical name for
-    ``_InstrumentedTask(profile=True)``.
-    """
-    return _InstrumentedTask(profile=True)(config)
-
-
 @dataclass(frozen=True)
 class _InstrumentedTask:
     """Picklable pipeline worker with profiling and/or observability.

@@ -47,10 +47,11 @@ def vectorized_core_supported(config) -> bool:
       mid-phase.
 
     Those run on the scalar oracle path unchanged. Inside the envelope
-    both phases run as two array-built waves
+    each phase is one request/reply exchange of two array-built waves
     (:mod:`repro.vec.turbo`); ``paper`` judges replies with array
-    kernels, while rival detectors (``config.detector != "paper"``)
-    judge each reply through the scalar ``Detector.evaluate``. The
+    kernels and the shared §2.2 cascade, while rival detectors
+    (``config.detector != "paper"``) judge each reply through the
+    scalar ``Detector.evaluate``. The
     predicate is duck-typed on the config attributes so it never
     imports the pipeline module.
     """

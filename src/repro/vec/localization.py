@@ -1,15 +1,14 @@
 """Batched localization phase and Gauss-Newton multilateration.
 
 The request/reply exchange mirrors the scalar
-``run_localization``/``NonBeaconAgent`` flow as two array-built waves
-(:class:`~repro.vec.turbo.Wave`), for every detector — the phase never
+``run_localization``/``NonBeaconAgent`` flow as one
+:func:`~repro.vec.turbo.exchange`, for every detector — the phase never
 consults ``pipeline.detector`` — on clean, lossy, jittery, duplicating
 and crashing channels alike. Crashed agents request nothing. Revoked
 beacons are filtered first (it precedes the RTT draw in the scalar
-handler), then one RTT batch is drawn over the surviving replies in
-reply order, perturbed as one batch
-(:func:`~repro.vec.measurement.observe_rtts`), and judged by the §2.2
-cascade as arrays. Position
+handler), then one :func:`~repro.vec.turbo.replay_cascade` judges the
+surviving replies — with no range check, since an agent does not yet
+know its own location. Position
 solving groups agents by reference count and runs every group through
 one batched Gauss-Newton: because the scalar solver in
 :mod:`repro.localization.multilateration` does all of its linear
@@ -35,16 +34,8 @@ from repro.localization.multilateration import (
     mmse_multilaterate,
 )
 from repro.localization.references import LocationReference
-from repro.sim.messages import BeaconPacket, BeaconRequest
 from repro.utils.geometry import Point
-from repro.vec.measurement import batched_rtt, observe_rtts
-from repro.vec.turbo import (
-    Wave,
-    WavePhase,
-    exact_distances,
-    serve_wave,
-    wormhole_verdicts,
-)
+from repro.vec.turbo import WavePhase, exchange, replay_cascade
 
 #: Gauss-Newton iteration cap (matches the scalar solver's default).
 _MAX_ITERATIONS = 50
@@ -61,9 +52,6 @@ def run_localization_vectorized(pipeline) -> None:
     ``estimate_position``).
     """
     phase = WavePhase(pipeline)
-    field = phase.field
-    t0 = pipeline.engine.now()
-    view = field.view
 
     # ------------------------------------------------------------------
     # Beacon requests (scalar build order: agent, then target id order).
@@ -74,8 +62,8 @@ def run_localization_vectorized(pipeline) -> None:
     for agent in pipeline.agents:
         if pipeline._initiator_down(agent):
             continue
-        row = field.row(agent.node_id)
-        targets = field.reachable_beacon_rows(row)
+        row = phase.row(agent.node_id)
+        targets = phase.reachable_beacon_rows(row)
         k = targets.shape[0]
         if k == 0:
             continue
@@ -87,109 +75,57 @@ def run_localization_vectorized(pipeline) -> None:
     if not src_chunks:
         phase.finish()
         return
-    req_src = np.concatenate(src_chunks)
-    req_dst_rows = np.concatenate(dst_chunks)
-    req_origin_rows = np.concatenate(agent_chunks)
-    req_dists = exact_distances(
-        view.xs[req_origin_rows],
-        view.ys[req_origin_rows],
-        view.xs[req_dst_rows],
-        view.ys[req_dst_rows],
+    agent_ids = np.concatenate(src_chunks)
+    replies = exchange(
+        phase,
+        np.concatenate(agent_chunks),
+        agent_ids,
+        np.concatenate(dst_chunks),
+        np.zeros(agent_ids.shape[0]),
     )
-    field.network.stats.distance_evals += int(req_dists.shape[0])
-    req_now = np.full(req_src.shape[0], t0, dtype=np.float64)
-    request_wave = Wave(
-        field, BeaconRequest, req_now, req_origin_rows, req_dst_rows,
-        req_dists, np.zeros(req_src.shape[0]), np.zeros(req_src.shape[0]),
-        req_src,
-    )
-    phase.record_undelivered(
-        request_wave, req_now, req_src, req_dst_rows, "BeaconRequest",
-    )
-    phase.account(request_wave)
-
-    (
-        resp_rows, agent_req_rows, reply_src, _reply_dst, claimed_x,
-        claimed_y, biases, extras, fakes, reply_now,
-    ) = serve_wave(phase, request_wave, req_src, req_origin_rows)
-    reply_direct = req_dists[request_wave.packet[request_wave.order]]
-    reply_wave = Wave(
-        field, BeaconPacket, reply_now, resp_rows, agent_req_rows,
-        reply_direct, extras, biases, reply_src,
-    )
-    phase.record_undelivered(
-        reply_wave, reply_now, reply_src, agent_req_rows, "BeaconPacket",
-    )
-    phase.account(reply_wave)
 
     # ------------------------------------------------------------------
     # Reference collection in delivery order (§2.2 filters, then §4).
     # ------------------------------------------------------------------
-    order = reply_wave.order
-    rep = reply_wave.packet[order]
-    times = reply_wave.time[order]
-    measured = reply_wave.measured[order]
-    d_agent_rows = agent_req_rows[rep]
-    src_all = reply_src[rep]
-
     # Revocation filtering precedes the RTT draw in the scalar handler,
     # and no new revocations occur during localization (only detecting
     # beacons alert), so filtering the whole batch up front is exact.
     agents_by_row = {
-        field.row(agent.node_id): agent for agent in pipeline.agents
+        phase.row(agent.node_id): agent for agent in pipeline.agents
     }
-    src_list = src_all.tolist()
-    agent_rows_list = d_agent_rows.tolist()
+    receivers = [agents_by_row[row] for row in replies.receiver.tolist()]
     kept = np.flatnonzero(
         np.array(
             [
-                src_list[i]
-                not in agents_by_row[agent_rows_list[i]].revoked_beacons
-                for i in range(len(src_list))
+                src not in agent.revoked_beacons
+                for src, agent in zip(replies.src.tolist(), receivers)
             ],
             dtype=bool,
         )
     )
-    rtts = batched_rtt(
-        field.network.rngs.stream("rtt"),
-        field.network.rtt_model,
-        reply_wave.dist[order][kept],
-        reply_wave.extra[order][kept],
-        times[kept],
+    agent_kept = [receivers[index] for index in kept.tolist()]
+    # knows_location=False: every kept reply reaches the wormhole
+    # detector.
+    wormhole_flagged, local_flagged = replay_cascade(
+        phase,
+        replies,
+        kept,
+        agent_kept,
+        np.zeros(kept.shape[0], dtype=bool),
     )
-    pipeline._vec_bump("rtt_batched", int(kept.shape[0]))
-    agent_kept = [agents_by_row[agent_rows_list[i]] for i in kept.tolist()]
-    rtts_list = observe_rtts(field.network, rtts, agent_kept)
-
-    # Cascade, knows_location=False: every kept copy reaches the
-    # wormhole detector; survivors face the per-agent RTT filter.
-    wormhole_flagged = wormhole_verdicts(
-        pipeline.agents[0].filter_cascade.wormhole_detector,
-        np.ones(kept.shape[0], dtype=bool),
-        fakes[rep][kept],
-        reply_wave.via_wormhole[order][kept],
-        view.node_ids[d_agent_rows[kept]],
-        src_all[kept],
-    )
-    local_flagged = np.zeros(kept.shape[0], dtype=bool)
-    for position in np.flatnonzero(~wormhole_flagged).tolist():
-        agent = agent_kept[position]
-        local_flagged[position] = (
-            agent.filter_cascade.local_replay_detector.is_replayed(
-                rtts_list[position]
-            )
-        )
     rejected = wormhole_flagged | local_flagged
 
-    counts = np.bincount(d_agent_rows[kept[rejected]], minlength=view.count)
+    counts = np.bincount(
+        replies.receiver[kept[rejected]], minlength=phase.view.count
+    )
     for row in np.flatnonzero(counts):
         agents_by_row[int(row)].rejected_replays += int(counts[row])
 
-    claimed_kept_x = claimed_x[rep][kept].tolist()
-    claimed_kept_y = claimed_y[rep][kept].tolist()
-    measured_kept = measured[kept].tolist()
-    times_kept = times[kept].tolist()
-    src_kept = src_all[kept].tolist()
+    claimed_kept_x = replies.claimed_x[kept].tolist()
+    claimed_kept_y = replies.claimed_y[kept].tolist()
+    measured_kept = replies.measured[kept].tolist()
+    times_kept = replies.time[kept].tolist()
+    src_kept = replies.src[kept].tolist()
     for position in np.flatnonzero(~rejected).tolist():
         agent_kept[position].references.append(
             LocationReference(

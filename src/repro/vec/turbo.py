@@ -1,8 +1,13 @@
 """Array-built delivery waves: the substrate of the vectorized core.
 
-A pipeline phase schedules all its requests at one instant, request
-deliveries schedule the replies, and reply handlers never transmit, so
-a phase is exactly two delivery waves. Each wave collapses into array
+Both pipeline phases run the same request/reply exchange — detecting
+beacons probe (§2.1), non-beacon nodes request signals (§4) — and
+judge the replies with the same §2.2 replay-filter cascade. This module
+holds one copy of each: :func:`exchange` and :func:`replay_cascade`.
+
+A phase schedules all its requests at one instant, request deliveries
+schedule the replies, and reply handlers never transmit, so an exchange
+is exactly two delivery waves. Each wave collapses into array
 arithmetic: exact pairwise geometry picks the copies (direct plus
 tunnelled, in the scalar ``unicast`` order), the channel's draws become
 masks — one ``"network-loss"`` batch over the scheduled copies, one
@@ -29,12 +34,13 @@ batched.
 Python survives only where the scalar path is genuinely stateful per
 item, and each of those loops runs over a small subset in delivery
 order: malicious responders (sticky strategy draws), first-seen
-wormhole pair verdicts (sticky detector coin flips), probe-outcome and
-alert recording, drop traces, and accepted reference construction.
-All distances that feed protocol decisions or measurements are
-computed with the correctly rounded scalar ``math.hypot``, so every
-float matches the scalar run bit for bit. The phases themselves live in
-:mod:`repro.vec.detection` and :mod:`repro.vec.localization`.
+wormhole pair verdicts (sticky detector coin flips), the RTT window
+test, probe-outcome and alert recording, drop traces, and accepted
+reference construction. All distances that feed protocol decisions or
+measurements are computed with the correctly rounded scalar
+``math.hypot``, so every float matches the scalar run bit for bit. The
+phases themselves — the fan-out and what is done with the verdicts —
+live in :mod:`repro.vec.detection` and :mod:`repro.vec.localization`.
 
 One deliberate fidelity cut, documented in ``docs/PERFORMANCE.md``:
 the vectorized core does not record per-delivery ``"deliver"`` trace
@@ -46,24 +52,29 @@ profiling counters (``stats.distance_evals``,
 work, which differs from the scalar grid-walk counts. Configs that
 need full per-event traces must run with ``use_vectorized_core=False``.
 
-Paper section: §4 (simulation substrate for the batched pipeline)
+Paper section: §2.1-§2.2, §4 (the exchange and cascade of both phases)
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import List, NamedTuple, Tuple
 
 import numpy as np
 
 from repro.attacks.compromised import MaliciousBeacon
 from repro.attacks.strategy import ResponseKind
-from repro.sim.messages import BeaconPacket
+from repro.sim.messages import BeaconPacket, BeaconRequest
 from repro.sim.radio import SPEED_OF_LIGHT_FT_PER_CYCLE
 from repro.sim.timing import packet_transmission_cycles
 from repro.vec.arrays import topology_arrays
 from repro.vec.geometry import within_range_matrix
-from repro.vec.measurement import batched_uniform, raw_uniforms
+from repro.vec.measurement import (
+    batched_rtt,
+    batched_uniform,
+    observe_rtts,
+    raw_uniforms,
+)
 from repro.wormhole.detector import ProbabilisticWormholeDetector
 
 
@@ -83,14 +94,16 @@ def exact_distances(ax, ay, bx, by) -> np.ndarray:
     )
 
 
-class WaveField:
-    """Per-phase geometric context shared by both waves.
+class WavePhase:
+    """Per-phase context shared by both waves: geometry and bookkeeping.
 
     Holds the SoA topology view, node-id -> row resolution, and exact
     per-node distances to every wormhole endpoint (scalar ``hypot``,
     so every endpoint-range predicate — ``far_end``'s first-match
     selection and ``wormhole_reachable_beacon_ids``'s union — matches
-    the scalar :class:`~repro.sim.network.Network` bit for bit).
+    the scalar :class:`~repro.sim.network.Network` bit for bit). Each
+    :class:`Wave` folds its engine events, clock and deliveries in;
+    :meth:`finish` hands them to the simulator.
     """
 
     def __init__(self, pipeline) -> None:
@@ -121,6 +134,9 @@ class WaveField:
             for row, node_id in enumerate(self.view.node_ids)
         }
         self._reach = None
+        self.total_events = 0
+        self.max_time = self.engine.now()
+        self._received = np.zeros(self.view.count, dtype=np.int64)
 
     def row(self, node_id: int) -> int:
         """Topology row of a (canonical) node id."""
@@ -151,6 +167,12 @@ class WaveField:
         self.network.stats.spatial_queries += 1
         return self.beacon_rows[self._reach[row]]
 
+    def finish(self) -> None:
+        """Fold event count, clock, and received counters into the sim."""
+        for row in np.flatnonzero(self._received):
+            self.nodes[row].received_count += int(self._received[row])
+        self.engine.absorb_batch(self.total_events, self.max_time)
+
 
 class Wave:
     """One wave of scheduled copies, expanded and sorted in bulk.
@@ -164,7 +186,12 @@ class Wave:
     crash check at arrival time, and the stable ``(time, seq)``
     delivery sort. Each draw is one batch on its own stream over
     exactly the copies the scalar path draws it for, in scheduling
-    order: a dropped copy draws nothing further.
+    order: a dropped copy draws nothing further. A packet that produced
+    no copy at all is traced as ``drop.out_of_range`` with its sender's
+    node id, as the scalar ``unicast`` does. Every scheduled copy is one
+    engine event and advances the phase clock, a copy dropped at a
+    crashed receiver included; only delivered copies count as network
+    deliveries and received packets.
 
     Attributes (all per *delivered* copy, in scheduling order):
         packet: index into the wave's logical-packet arrays.
@@ -180,17 +207,11 @@ class Wave:
         time: arrival cycle.
         measured: receiver ranging estimate (noise batch applied).
         order: indices sorting copies into delivery order.
-        events: scheduled copies, crashed receivers included — each is
-            one engine event.
-        latest: arrival cycle of the last scheduled copy (None when
-            nothing was scheduled).
-        undelivered: packet indices that produced no copy at all (the
-            scalar ``drop.out_of_range`` case).
     """
 
     def __init__(
         self,
-        field: WaveField,
+        phase: WavePhase,
         packet_cls,
         now: np.ndarray,
         origin_rows: np.ndarray,
@@ -200,23 +221,23 @@ class Wave:
         biases: np.ndarray,
         src_ids: np.ndarray,
     ) -> None:
-        view = field.view
-        network = field.network
+        view = phase.view
+        network = phase.network
         kind = packet_cls.__name__
         count = origin_rows.shape[0]
-        slots = 1 + len(field.links)
+        slots = 1 + len(phase.links)
         valid = np.zeros((count, slots), dtype=bool)
         dists = np.zeros((count, slots), dtype=np.float64)
         extra_m = np.zeros((count, slots), dtype=np.float64)
         origin_x = np.zeros((count, slots), dtype=np.float64)
         origin_y = np.zeros((count, slots), dtype=np.float64)
-        valid[:, 0] = direct_dist <= field.comm_range_ft
+        valid[:, 0] = direct_dist <= phase.comm_range_ft
         dists[:, 0] = direct_dist
         extra_m[:, 0] = extras
         origin_x[:, 0] = view.xs[origin_rows]
         origin_y[:, 0] = view.ys[origin_rows]
         for index, (near_a, near_b, latency) in enumerate(
-            field.links, start=1
+            phase.links, start=1
         ):
             # far_end checks end_a first: a sender near end_a exits at
             # end_b even when it is near both endpoints. The exit
@@ -240,13 +261,12 @@ class Wave:
                 origin_x[:, index], origin_y[:, index],
             )
             extra_m[:, index] = extras + latency
-        network.stats.distance_evals += count * len(field.links)
+        network.stats.distance_evals += count * len(phase.links)
         flat = valid.ravel()
         copies = np.flatnonzero(flat)
-        self.undelivered = np.flatnonzero(~valid.any(axis=1))
         copy_packet = copies // slots
         scheduled, self.duplicated = _channel_copies(
-            field, kind, now, copy_packet, dst_rows, src_ids
+            phase, kind, now, copy_packet, dst_rows, src_ids
         )
         copies = copies[scheduled]
         self.packet = copy_packet[scheduled]
@@ -264,7 +284,7 @@ class Wave:
         # Scalar delay chain, elementwise: packet_time = airtime +
         # dist / c; delay = packet_time + extra (+ fault delay); time =
         # now + delay.
-        airtime = field.radio.airtime_cycles(packet_cls(src_id=0, dst_id=0))
+        airtime = phase.radio.airtime_cycles(packet_cls(src_id=0, dst_id=0))
         packet_time = airtime + self.dist / SPEED_OF_LIGHT_FT_PER_CYCLE
         delay = packet_time + self.extra
         fault = injector.delay if injector is not None else None
@@ -284,24 +304,34 @@ class Wave:
         self.measured = np.maximum(
             0.0, (self.dist + noise) + biases[self.packet]
         )
-        self.events = events
-        self.latest = float(self.time.max()) if events else None
+        if events:
+            phase.max_time = max(phase.max_time, float(self.time.max()))
         crash = injector.crash if injector is not None else None
         if crash is not None:
-            self._drop_crashed(field, crash, kind, src_ids)
+            self._drop_crashed(phase, crash, kind, src_ids)
         self.order = np.argsort(self.time, kind="stable")
-        pipeline = field.pipeline
-        pipeline._vec_bump("deliveries", self.count)
+        node_ids = view.node_ids
+        for index in np.flatnonzero(~valid.any(axis=1)).tolist():
+            phase.trace.record(
+                float(now[index]),
+                "drop.out_of_range",
+                src=int(node_ids[origin_rows[index]]),
+                dst=int(node_ids[dst_rows[index]]),
+                packet_kind=kind,
+            )
+        delivered = int(self.dist.shape[0])
+        phase.total_events += events
+        network.stats.deliveries += delivered
+        phase._received += np.bincount(
+            self.dst_row, minlength=phase._received.shape[0]
+        )
+        pipeline = phase.pipeline
+        pipeline._vec_bump("deliveries", delivered)
         pipeline._vec_bump("noise_batched", events)
         pipeline._vec_bump("waves", 1)
 
-    @property
-    def count(self) -> int:
-        """Number of delivered copies."""
-        return int(self.dist.shape[0])
-
     def _drop_crashed(
-        self, field: WaveField, crash, kind: str, src_ids: np.ndarray
+        self, phase: WavePhase, crash, kind: str, src_ids: np.ndarray
     ) -> None:
         """Drop (and trace) each copy that reaches a receiver already down.
 
@@ -310,15 +340,15 @@ class Wave:
         exactly the receivers of scheduled copies — its per-node event
         counter must see the same set of nodes.
         """
-        node_ids = field.view.node_ids
-        crash_at = np.full(field.view.count, np.inf)
+        node_ids = phase.view.node_ids
+        crash_at = np.full(phase.view.count, np.inf)
         for row in np.unique(self.dst_row).tolist():
             when = crash.crash_time(int(node_ids[row]))
             if when is not None:
                 crash_at[row] = when
         alive = self.time < crash_at[self.dst_row]
         for index in np.flatnonzero(~alive).tolist():
-            field.trace.record(
+            phase.trace.record(
                 float(self.time[index]),
                 "drop.crashed",
                 src=int(src_ids[self.packet[index]]),
@@ -333,7 +363,7 @@ class Wave:
 
 
 def _channel_copies(
-    field: WaveField,
+    phase: WavePhase,
     kind: str,
     now: np.ndarray,
     packet: np.ndarray,
@@ -356,7 +386,7 @@ def _channel_copies(
         duplicate repeats its original's index, just before it), and
         which of them are duplicates.
     """
-    network = field.network
+    network = phase.network
     injector = network.fault_injector
     count = packet.shape[0]
     if injector is not None and injector.duplication is not None:
@@ -366,10 +396,10 @@ def _channel_copies(
     else:
         scheduled, drops = _loss_masks(network.loss_model, injector, count)
         duplicated = np.zeros(scheduled.shape[0], dtype=bool)
-    node_ids = field.view.node_ids
+    node_ids = phase.view.node_ids
     for index, drop in drops:
         logical = packet[index]
-        field.trace.record(
+        phase.trace.record(
             float(now[logical]),
             drop,
             src=int(src_ids[logical]),
@@ -451,95 +481,94 @@ def _duplicating_walk(loss_model, injector, count: int):
     )
 
 
-class WavePhase:
-    """Shared bookkeeping for one phase (two waves + finish)."""
+class Replies(NamedTuple):
+    """The delivered reply copies of one exchange, in delivery order.
 
-    def __init__(self, pipeline) -> None:
-        self.field = WaveField(pipeline)
-        self.pipeline = pipeline
-        self.total_events = 0
-        self.max_time = pipeline.engine.now()
-        self._received = np.zeros(self.field.view.count, dtype=np.int64)
-
-    def account(self, wave: Wave) -> None:
-        """Fold one wave's events and deliveries into the bookkeeping.
-
-        Every scheduled copy is one engine event and advances the clock,
-        a copy dropped at a crashed receiver included; only delivered
-        copies count as network deliveries and received packets.
-        """
-        self.total_events += wave.events
-        if wave.latest is not None:
-            self.max_time = max(self.max_time, wave.latest)
-        self.field.network.stats.deliveries += wave.count
-        self._received += np.bincount(
-            wave.dst_row, minlength=self._received.shape[0]
-        )
-
-    def record_undelivered(
-        self, wave: Wave, now: np.ndarray, src_ids: np.ndarray,
-        dst_rows: np.ndarray, kind: str,
-    ) -> None:
-        """Mirror the scalar ``drop.out_of_range`` trace per dead packet."""
-        for index in wave.undelivered:
-            self.field.trace.record(
-                float(now[index]),
-                "drop.out_of_range",
-                src=int(src_ids[index]),
-                dst=int(self.field.view.node_ids[dst_rows[index]]),
-                packet_kind=kind,
-            )
-
-    def finish(self) -> None:
-        """Fold event count, clock, and received counters into the sim."""
-        nodes = self.field.nodes
-        for row in np.flatnonzero(self._received):
-            nodes[row].received_count += int(self._received[row])
-        self.pipeline.engine.absorb_batch(self.total_events, self.max_time)
-
-
-def serve_wave(
-    phase: WavePhase,
-    request_wave: Wave,
-    req_src_ids: np.ndarray,
-    req_origin_rows: np.ndarray,
-) -> Tuple[np.ndarray, ...]:
-    """Serve every delivered request copy; build the reply packet arrays.
-
-    Walks the request wave in delivery order. Benign responders are
-    served arithmetically (``requests_served``/``_sequence`` advanced
-    by count — the per-reply ``sequence`` field feeds no protocol
-    decision, so only the final counters must match); malicious
-    responders run their real sticky strategy in a Python loop at the
-    exact positions they occupy in that order, so their RNG
-    consumption is scalar-exact.
-
-    Returns reply logical-packet arrays, one row per served request
-    copy in delivery order: responder row, requester row, reply src id,
-    reply dst id (the requester identity echoed from the request),
-    claimed x/y, ranging bias, extra reply delay, fake-wormhole-symptom
-    flag, and the reply's scheduling time (= request arrival).
+    Attributes:
+        receiver: row of the requesting node the reply reaches.
+        src: responder node id.
+        dst: the requester identity the request carried, echoed (a
+            detecting id in the detection phase).
+        claimed_x, claimed_y: the location the reply declares.
+        bias: the responder's ranging bias.
+        fake: fake-wormhole-symptom flag.
+        sent: the reply's scheduling time (its request's arrival).
+        dist, origin_x, origin_y, extra, via_wormhole, duplicated,
+        time, measured: the copy's :class:`Wave` columns.
     """
-    field = phase.field
-    order = request_wave.order
-    packet = request_wave.packet[order]
-    responder_rows = request_wave.dst_row[order]
-    times = request_wave.time[order]
-    src_ids = req_src_ids[packet]
-    requester_rows = req_origin_rows[packet]
-    nodes = field.nodes
-    view = field.view
-    count = packet.shape[0]
 
+    receiver: np.ndarray
+    src: np.ndarray
+    dst: np.ndarray
+    claimed_x: np.ndarray
+    claimed_y: np.ndarray
+    bias: np.ndarray
+    fake: np.ndarray
+    sent: np.ndarray
+    dist: np.ndarray
+    origin_x: np.ndarray
+    origin_y: np.ndarray
+    extra: np.ndarray
+    via_wormhole: np.ndarray
+    duplicated: np.ndarray
+    time: np.ndarray
+    measured: np.ndarray
+
+
+def exchange(
+    phase: WavePhase,
+    origin_rows: np.ndarray,
+    src_ids: np.ndarray,
+    dst_rows: np.ndarray,
+    biases: np.ndarray,
+) -> Replies:
+    """One request/reply round of a phase, as two waves.
+
+    One row per request, in scalar build order: the requesting node's
+    row, the identity the request carries (a detecting id when probing,
+    the node's own id otherwise), the responder's row, and the ranging
+    bias the requester's probe power adds. Every request leaves at the
+    engine's current time.
+
+    The request wave is served in its delivery order. Benign responders
+    are served arithmetically (``requests_served``/``_sequence``
+    advanced by count — the per-reply ``sequence`` field feeds no
+    protocol decision, so only the final counters must match);
+    malicious responders run their real sticky strategy in a Python
+    loop at the exact positions they occupy in that order, so their
+    RNG consumption is scalar-exact. Each served copy becomes one reply
+    of the reply wave, scheduled at its request's arrival.
+    """
+    view = phase.view
+    nodes = phase.nodes
+    count = origin_rows.shape[0]
+    direct = exact_distances(
+        view.xs[origin_rows], view.ys[origin_rows],
+        view.xs[dst_rows], view.ys[dst_rows],
+    )
+    phase.network.stats.distance_evals += count
+    now = np.full(count, phase.engine.now(), dtype=np.float64)
+    requests = Wave(
+        phase, BeaconRequest, now, origin_rows, dst_rows, direct,
+        np.zeros(count), biases, src_ids,
+    )
+
+    order = requests.order
+    packet = requests.packet[order]
+    responder_rows = requests.dst_row[order]
+    sent = requests.time[order]
+    requester_ids = src_ids[packet]
+    requester_rows = origin_rows[packet]
+    served_count = packet.shape[0]
     reply_src = view.node_ids[responder_rows]
-    biases = np.zeros(count, dtype=np.float64)
-    extras = np.zeros(count, dtype=np.float64)
-    fakes = np.zeros(count, dtype=bool)
+    reply_biases = np.zeros(served_count, dtype=np.float64)
+    extras = np.zeros(served_count, dtype=np.float64)
+    fakes = np.zeros(served_count, dtype=bool)
 
     decl_x = view.xs.copy()
     decl_y = view.ys.copy()
     malicious_mask = np.zeros(view.count, dtype=bool)
-    for row in field.beacon_rows:
+    for row in phase.beacon_rows:
         node = nodes[row]
         decl_x[row] = node.declared_location.x
         decl_y[row] = node.declared_location.y
@@ -547,21 +576,20 @@ def serve_wave(
             malicious_mask[row] = True
     claimed_x = decl_x[responder_rows]
     claimed_y = decl_y[responder_rows]
-    is_malicious = malicious_mask[responder_rows]
 
     # Real sticky adversary decisions, at their delivery-order slots.
     responder_list = responder_rows.tolist()
-    src_id_list = src_ids.tolist()
-    for position in np.flatnonzero(is_malicious).tolist():
+    requester_list = requester_ids.tolist()
+    for position in np.flatnonzero(malicious_mask[responder_rows]).tolist():
         beacon = nodes[responder_list[position]]
-        requester = src_id_list[position]
+        requester = requester_list[position]
         decision = beacon.strategy.decide(requester)
         beacon.responses_by_kind[decision] += 1
         if decision is ResponseKind.NORMAL:
             point = beacon.position
         elif decision is ResponseKind.MALICIOUS:
             point = beacon.lie_location_for(requester)
-            biases[position] = beacon.strategy.ranging_bias_ft
+            reply_biases[position] = beacon.strategy.ranging_bias_ft
         elif decision is ResponseKind.MASK_WORMHOLE:
             point = beacon._far_location_for(requester)
             fakes[position] = True
@@ -581,18 +609,86 @@ def serve_wave(
         node.requests_served += int(served[row])
         node._sequence += int(served[row])
 
-    return (
-        responder_rows,
-        requester_rows,
-        reply_src,
-        src_ids,
-        claimed_x,
-        claimed_y,
-        biases,
-        extras,
-        fakes,
-        times,
+    # The reply's direct distance is its request's (|dx|, |dy| are
+    # identical either way, and hypot is sign-symmetric).
+    replies = Wave(
+        phase, BeaconPacket, sent, responder_rows, requester_rows,
+        direct[packet], extras, reply_biases, reply_src,
     )
+    order = replies.order
+    rep = replies.packet[order]
+    return Replies(
+        receiver=requester_rows[rep],
+        src=reply_src[rep],
+        dst=requester_ids[rep],
+        claimed_x=claimed_x[rep],
+        claimed_y=claimed_y[rep],
+        bias=reply_biases[rep],
+        fake=fakes[rep],
+        sent=sent[rep],
+        dist=replies.dist[order],
+        origin_x=replies.origin_x[order],
+        origin_y=replies.origin_y[order],
+        extra=replies.extra[order],
+        via_wormhole=replies.via_wormhole[order],
+        duplicated=replies.duplicated[order],
+        time=replies.time[order],
+        measured=replies.measured[order],
+    )
+
+
+def replay_cascade(
+    phase: WavePhase,
+    replies: Replies,
+    subset: np.ndarray,
+    receivers: list,
+    out_of_range: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The §2.2 replay-filter cascade over some of an exchange's replies.
+
+    ``subset`` indexes the replies the cascade judges, in delivery
+    order, and ``receivers`` holds their requesting nodes. One
+    :func:`~repro.vec.measurement.batched_rtt` call draws their RTTs —
+    the draws the scalar per-reply ``measure_rtt`` makes, in reply
+    order — and :func:`~repro.vec.measurement.observe_rtts` perturbs
+    and reports them. Then the §2.2.1 wormhole filter: a reply marked
+    ``out_of_range`` (its declared location lies beyond radio range of
+    a receiver that knows its own position) is decided without a
+    detector call; :func:`wormhole_verdicts` judges the rest. Each reply
+    neither flags faces its receiver's §2.2.2 RTT window.
+
+    Returns:
+        ``(wormhole, local)`` masks over ``subset``.
+    """
+    network = phase.network
+    phase.pipeline._vec_bump("rtt_batched", int(subset.shape[0]))
+    rtts = batched_rtt(
+        network.rngs.stream("rtt"),
+        network.rtt_model,
+        replies.dist[subset],
+        replies.extra[subset],
+        replies.time[subset],
+    )
+    observed = observe_rtts(network, rtts, receivers)
+    wormhole = out_of_range.copy()
+    local = np.zeros(subset.shape[0], dtype=bool)
+    if not receivers:
+        return wormhole, local
+    # Every node's cascade shares the one wormhole detector.
+    wormhole |= wormhole_verdicts(
+        receivers[0].filter_cascade.wormhole_detector,
+        ~out_of_range,
+        replies.fake[subset],
+        replies.via_wormhole[subset],
+        phase.view.node_ids[replies.receiver[subset]],
+        replies.src[subset],
+    )
+    for position in np.flatnonzero(~wormhole).tolist():
+        local[position] = (
+            receivers[position].filter_cascade.local_replay_detector
+            .is_replayed(observed[position])
+        )
+    return wormhole, local
 
 
 def wormhole_verdicts(

@@ -10,10 +10,12 @@ wormhole), plus per-node agreement of the reachability sets themselves.
 """
 
 import dataclasses
+import math
 
 import pytest
 
 from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
+from repro.utils.geometry import Point
 
 #: Small enough for sub-second trials; dense enough that grid queries
 #: span multiple cells and the wormhole actually tunnels signals.
@@ -87,3 +89,33 @@ class TestReachabilityAgreement:
         finally:
             pipeline.config = original
         assert fast == naive
+
+
+def test_vectorized_requester_counts_agree_on_range_boundary():
+    # One agent sits exactly comm_range_ft (150 ft, a 90-120-150
+    # triangle) from a malicious beacon: the <= boundary both N' scans
+    # must count the same way.
+    pipeline = SecureLocalizationPipeline(
+        dataclasses.replace(_config(5, WORMHOLE, True), use_vectorized_core=True)
+    ).build()
+    assert pipeline._vectorized_active()
+    beacon = pipeline.malicious_beacons[0]
+    agent = pipeline.agents[0]
+    dx = 90.0 if beacon.position.x < 210.0 else -90.0
+    dy = 120.0 if beacon.position.y < 210.0 else -120.0
+    pipeline.network.update_position(
+        agent, Point(beacon.position.x + dx, beacon.position.y + dy)
+    )
+    r = pipeline.config.comm_range_ft
+    assert r == 150.0
+    assert math.hypot(
+        agent.position.x - beacon.position.x,
+        agent.position.y - beacon.position.y,
+    ) == r
+    malicious_ids = {b.node_id for b in pipeline.malicious_beacons}
+    vectorized = pipeline._requester_counts(malicious_ids)
+    pipeline._vec_active = False
+    pipeline.config = dataclasses.replace(
+        pipeline.config, use_vectorized_core=False, use_spatial_index=False
+    )
+    assert vectorized == pipeline._requester_counts(malicious_ids)

@@ -22,6 +22,7 @@ from repro.detectors import available_detectors
 from repro.errors import ConfigurationError
 from repro.experiments.runner import ExperimentRunner, collect_metrics
 from repro.faults import FaultConfig
+from repro.obs import ObserveConfig
 from repro.vec import vectorized_core_supported
 
 #: The pre-refactor capture deployment.
@@ -149,6 +150,7 @@ class TestRivalsStayScalar:
                                          rtt_jitter_cycles=750.0)):
             config = PipelineConfig(
                 detector=name, seed=0, faults=faults,
+                observe=ObserveConfig(),
                 **dict(TINY, use_vectorized_core=True),
             )
             assert vectorized_core_supported(config)
@@ -158,6 +160,13 @@ class TestRivalsStayScalar:
             # Detection and localization each ran as two array-built
             # waves (requests, then replies).
             assert pipeline._vec_counters["waves"] == 4
+            # The batched calibration draws reach both counter views
+            # under one vec_ prefix.
+            samples = config.rtt_calibration_samples
+            counters = pipeline.profile_snapshot()["counters"]
+            assert counters["vec_calibration_rtts"] == samples
+            registry = pipeline.telemetry()["registry"]["counters"]
+            assert registry['vec_batch_total{kind="calibration_rtts"}'] == samples
 
     def test_unknown_detector_rejected_at_config_time(self):
         with pytest.raises(ConfigurationError, match="detector"):
