@@ -25,6 +25,7 @@ Paper section: §4 (end-to-end simulation evaluation)
 from __future__ import annotations
 
 import os
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Set, Tuple
@@ -42,7 +43,13 @@ from repro.errors import ConfigurationError, InsufficientReferencesError
 from repro.faults.config import FaultConfig
 from repro.faults.injector import FaultInjector
 from repro.localization.beacon import NonBeaconAgent
-from repro.obs import Observability, ObserveConfig, linear_buckets
+from repro.obs import (
+    MetricsRegistry,
+    Observability,
+    ObserveConfig,
+    linear_buckets,
+    tag_active_span,
+)
 from repro.sim.engine import Engine
 from repro.sim.network import Network, WormholeLink
 from repro.sim.node import Node
@@ -51,7 +58,6 @@ from repro.sim.reliable import LossModel, ReliableChannel
 from repro.sim.rng import RngRegistry, derive_seed
 from repro.sim.trace import TraceRecorder
 from repro.utils.geometry import Point, distance, random_point_in_rect
-from repro.utils.profiling import PhaseProfile
 from repro.utils.validation import check_int_in_range, check_probability
 from repro.wormhole.detector import ProbabilisticWormholeDetector
 
@@ -303,6 +309,9 @@ class SecureLocalizationPipeline:
         #: Built by :meth:`build` when the config enables faults; None on
         #: the (bit-identical) fault-free path.
         self.fault_injector: Optional[FaultInjector] = None
+        #: ARQ channels, built by :meth:`build` when their link is lossy.
+        self.alert_channel: Optional[ReliableChannel] = None
+        self.request_channel: Optional[ReliableChannel] = None
         self.key_manager = KeyManager()
         self.network: Optional[Network] = None
         self.base_station: Optional[BaseStation] = None
@@ -322,9 +331,8 @@ class SecureLocalizationPipeline:
         #: noise/RTT draws batched); folded into observability at
         #: finalize and into :meth:`profile_snapshot` as ``vec_*``.
         self._vec_counters: Dict[str, int] = {}
-        #: Per-phase wall clock + hot-path counters; populated by
-        #: :meth:`run` and read back via :meth:`profile_snapshot`.
-        self.profile = PhaseProfile()
+        #: Accumulated wall seconds per phase name, filled by :meth:`run`.
+        self.phase_seconds: Dict[str, float] = {}
         #: The trial's observability context, or None when
         #: ``config.observe`` is None (the default — no obs object is
         #: even constructed, so the hot paths carry zero extra checks
@@ -456,19 +464,16 @@ class SecureLocalizationPipeline:
             trace=self.trace,
         )
 
-        alert_channel: Optional[ReliableChannel] = None
         if cfg.alert_loss_rate > 0.0:
-            alert_channel = ReliableChannel(
+            self.alert_channel = ReliableChannel(
                 self.engine,
                 LossModel(cfg.alert_loss_rate, self.rngs.stream("alert-loss")),
                 max_retries=cfg.alert_max_retries,
                 backoff_factor=cfg.arq_backoff_factor,
                 name="alert",
             )
-        self.alert_channel = alert_channel
-        request_channel: Optional[ReliableChannel] = None
         if cfg.request_loss_rate > 0.0:
-            request_channel = ReliableChannel(
+            self.request_channel = ReliableChannel(
                 self.engine,
                 LossModel(
                     cfg.request_loss_rate, self.rngs.stream("request-loss")
@@ -477,7 +482,6 @@ class SecureLocalizationPipeline:
                 backoff_factor=cfg.arq_backoff_factor,
                 name="request",
             )
-        self.request_channel = request_channel
 
         deploy_rng = self.rngs.stream("deployment")
         field_point = lambda: random_point_in_rect(  # noqa: E731 - local shorthand
@@ -505,8 +509,8 @@ class SecureLocalizationPipeline:
                 detecting_ids=self.key_manager.allocate_detecting_ids(
                     next_id, cfg.m_detecting_ids
                 ),
-                alert_channel=alert_channel,
-                request_channel=request_channel,
+                alert_channel=self.alert_channel,
+                request_channel=self.request_channel,
                 detector=shared_detector,
             )
             self.network.add_node(beacon)
@@ -765,21 +769,29 @@ class SecureLocalizationPipeline:
     def _phase(self, name: str) -> Iterator[None]:
         """Time one phase and — when observing — wrap it in a span.
 
-        The span is the *inner* context, so on failure it tags the
-        exception first (``phase:<name>`` beats the profile's plain
-        ``<name>`` — first tagger wins).
+        On failure the inner span tags the exception first
+        (``phase:<name>``); without spans the plain ``<name>`` tag is
+        what the runner's error records fall back on.
         """
-        with self.profile.phase(name):
+        start = time.perf_counter()
+        try:
             if self.obs is not None and self.obs.config.spans:
                 with self.obs.span(f"phase:{name}"):
                     yield
             else:
                 yield
+        except BaseException as exc:
+            tag_active_span(exc, name)
+            raise
+        finally:
+            self.phase_seconds[name] = (
+                self.phase_seconds.get(name, 0.0) + time.perf_counter() - start
+            )
 
     def run(self) -> PipelineResult:
         """Build (if needed) and execute all phases, returning the metrics.
 
-        Each phase is timed into :attr:`profile` and, when observing,
+        Each phase is timed into :attr:`phase_seconds` and, when observing,
         delimited by a ``phase:<name>`` span nested under one ``trial``
         span; see :meth:`profile_snapshot` / :meth:`telemetry` for the
         aggregated views. End-of-trial counters are flushed into the
@@ -809,14 +821,32 @@ class SecureLocalizationPipeline:
             result = self.collect_metrics()
         return result
 
-    def finalize_observability(self) -> None:
-        """Flush end-of-trial counters into the registry (idempotent).
+    def _record_counters(self, registry: MetricsRegistry) -> None:
+        """Flush the probe, network, vec, fault and ARQ-channel counters.
 
-        The hot paths accumulate into their existing plain-int structs
-        (:class:`~repro.utils.profiling.NetworkCounters`, ARQ channel
-        counters, fault-model counters, §3.1 base-station counters);
-        this one call folds them all into the mergeable registry, so
-        observing adds no per-event registry work.
+        The one list of counter sources. The hot paths bump plain ints,
+        so counting costs no per-event registry work; this only reads
+        them, so it may fill any number of fresh registries.
+        """
+        registry.counter("probes_sent_total").inc(self._probes_sent)
+        if self.network is not None:
+            self.network.record_metrics(registry)
+        for name in sorted(self._vec_counters):
+            registry.counter("vec_batch_total", kind=name).inc(
+                self._vec_counters[name]
+            )
+        if self.fault_injector is not None:
+            self.fault_injector.record_metrics(registry)
+        for channel in (self.alert_channel, self.request_channel):
+            if channel is not None:
+                channel.record_metrics(registry)
+
+    def finalize_observability(self) -> None:
+        """Flush end-of-trial counters into the trial registry (idempotent).
+
+        :meth:`_record_counters` plus the engine totals and the §3.1
+        base-station counters. The base station flushes from a cursor,
+        so only this once-per-trial call may hand it a registry.
         """
         obs = self.obs
         if obs is None or self._obs_finalized or not obs.config.metrics:
@@ -824,23 +854,9 @@ class SecureLocalizationPipeline:
         self._obs_finalized = True
         registry = obs.registry
         self.engine.record_metrics(registry)
-        registry.counter("probes_sent_total").inc(self._probes_sent)
-        if self.network is not None:
-            self.network.record_metrics(registry)
+        self._record_counters(registry)
         if self.base_station is not None:
             self.base_station.record_metrics(registry)
-        if self.fault_injector is not None:
-            self.fault_injector.record_metrics(registry)
-        for channel in (
-            getattr(self, "alert_channel", None),
-            getattr(self, "request_channel", None),
-        ):
-            if channel is not None:
-                channel.record_metrics(registry)
-        for name in sorted(self._vec_counters):
-            registry.counter("vec_batch_total", kind=name).inc(
-                self._vec_counters[name]
-            )
 
     def telemetry(self) -> dict:
         """The trial's exportable telemetry (empty dict when not observing).
@@ -863,33 +879,32 @@ class SecureLocalizationPipeline:
         return data
 
     def profile_snapshot(self) -> dict:
-        """Phase timings plus hot-path counters, as a JSON-ready dict.
+        """Phase timings plus work counters, as a JSON-ready dict.
 
-        Counters fold in the network-level operation counts (distance
-        evaluations, grid cells visited, spatial queries, deliveries),
-        the probe total, fault-injection event counts (``fault_*``), and
-        per-ARQ-channel delivery accounting (``channel_<name>_*``), so
-        one snapshot fully describes where a trial spent its work.
-        Shape: ``{"phases": {...}, "counters": {...}}`` (see
-        :mod:`repro.utils.profiling`).
+        Shape: ``{"phases": {...}, "counters": {...}}``. The counters are
+        :meth:`_record_counters` flushed into a fresh registry and renamed
+        to the ``--profile`` keys: ``net_<X>_total`` -> ``<X>``,
+        ``probes_sent_total`` -> ``probes``, ``vec_batch_total{kind=k}``
+        -> ``vec_<k>``, ``fault_events_total{kind=k}`` -> ``fault_<k>``
+        and ``arq_<X>_total{channel=c}`` -> ``channel_<c>_<X>``.
         """
-        snapshot = self.profile.to_dict()
-        if self.network is not None:
-            snapshot["counters"].update(self.network.stats.to_dict())
-        snapshot["counters"]["probes"] = self._probes_sent
-        for name in sorted(self._vec_counters):
-            snapshot["counters"][f"vec_{name}"] = self._vec_counters[name]
-        if self.fault_injector is not None:
-            snapshot["counters"].update(self.fault_injector.counters())
-        for channel in (
-            getattr(self, "alert_channel", None),
-            getattr(self, "request_channel", None),
-        ):
-            if channel is not None:
-                snapshot["counters"].update(
-                    channel.counters.to_dict(prefix=f"channel_{channel.name}_")
-                )
-        return snapshot
+        registry = MetricsRegistry()
+        self._record_counters(registry)
+        counters = {}
+        for name, labels, counter in registry.series():
+            label = labels[0][1] if labels else ""
+            if name == "probes_sent_total":
+                key = "probes"
+            elif name.startswith("net_"):
+                key = name[len("net_") : -len("_total")]
+            elif name == "vec_batch_total":
+                key = f"vec_{label}"
+            elif name == "fault_events_total":
+                key = f"fault_{label}"
+            else:  # arq_<X>_total{channel=c}
+                key = f"channel_{label}_{name[len('arq_') : -len('_total')]}"
+            counters[key] = counter.value
+        return {"phases": dict(self.phase_seconds), "counters": counters}
 
     # ------------------------------------------------------------------
     # Metrics

@@ -65,20 +65,22 @@ ARENA_CONFIG: Dict[str, Any] = {
 def run_arena_trial(config: PipelineConfig) -> Dict[str, Any]:
     """Worker entry point: one trial's metrics plus decision-cost inputs.
 
-    Returns ``{"metrics": ..., "decisions": ..., "detection_s": ...}``
-    where ``decisions`` counts the probe verdicts the detector issued
-    and ``detection_s`` is the detection phase's wall clock.
+    Returns ``{"metrics": ..., "decisions": ..., "detection_s": ...,
+    "profile": ...}`` where ``decisions`` counts the probe verdicts the
+    detector issued, ``detection_s`` is the detection phase's wall clock
+    and ``profile`` is the trial's ``profile_snapshot()`` (what a
+    profiling runner sums).
     """
     pipeline = SecureLocalizationPipeline(config)
     metrics = collect_metrics(pipeline.run())
     decisions = sum(
         len(beacon.probe_outcomes) for beacon in pipeline.benign_beacons
     )
-    snapshot = pipeline.profile_snapshot()
     return {
         "metrics": metrics,
         "decisions": decisions,
-        "detection_s": float(snapshot["phases"].get("detection", 0.0)),
+        "detection_s": pipeline.phase_seconds.get("detection", 0.0),
+        "profile": pipeline.profile_snapshot(),
     }
 
 
@@ -154,6 +156,10 @@ def run_arena(
             f"arena:{name}:p={cfg.p_prime}:seed={cfg.seed}" for cfg in configs
         ]
         payloads = runner.map(run_arena_trial, configs, keys=keys)
+        if runner.profile:
+            runner.stats.profiles.extend(
+                entry["profile"] for entry in payloads if entry is not None
+            )
         grid: Dict[str, Dict[str, Optional[float]]] = {}
         decisions = 0
         detection_s = 0.0

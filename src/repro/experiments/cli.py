@@ -36,9 +36,9 @@ Each figure command prints the data table; ``--out`` also writes
 ``--json``). ``--workers`` shards simulation trials across processes
 (``0`` = one per CPU) and ``--cache-dir`` enables the content-addressed
 result cache, so a re-run skips every already-computed pipeline point.
-``--profile`` aggregates per-phase timings and hot-path counters across
-every executed trial and emits them as JSON (``profile.json`` under
-``--out``).
+``--profile`` aggregates per-phase timings and work counters across
+every executed trial of a figure, ``trial`` or ``arena`` run and emits
+them as JSON (``profile.json`` under ``--out``).
 
 ``--backend queue`` swaps the in-process pool for the distributed
 file-queue backend (``repro.experiments.distributed``): the CLI acts as
@@ -472,6 +472,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if not args.quiet:
                 print(json.dumps(results[0], indent=2, sort_keys=True))
             _export_telemetry(runner, args)
+            _export_profile(runner, args)
             if runner.stats.errors:
                 _report_errors(runner.stats.errors, args)
                 return 3
@@ -498,14 +499,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             fig = _generate(name, runner)
             _emit(fig, args)
         _export_telemetry(runner, args)
-    if args.profile:
-        summary = runner.stats.profile_summary()
-        payload = json.dumps(summary, indent=2, sort_keys=True)
-        if not args.quiet:
-            print(payload)
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            (args.out / "profile.json").write_text(payload + "\n")
+        _export_profile(runner, args)
     if args.cache_dir is not None and not args.quiet:
         stats = runner.stats
         print(
@@ -571,6 +565,7 @@ def _run_arena(args) -> int:
                 f"{args.out / 'BENCH_arena.json'}",
                 file=sys.stderr,
             )
+    _export_profile(runner, args)
     if runner.stats.errors:
         _report_errors(runner.stats.errors, args)
         return 3
@@ -679,6 +674,19 @@ def _export_telemetry(runner: ExperimentRunner, args) -> None:
         path = write_events_jsonl(base.with_suffix(".jsonl"), stats.telemetry)
         if not args.quiet:
             print(f"event log written to {path}", file=sys.stderr)
+
+
+def _export_profile(runner: ExperimentRunner, args) -> None:
+    """Print (and with ``--out`` write) the ``--profile`` summary."""
+    if not args.profile:
+        return
+    summary = runner.stats.profile_summary()
+    payload = json.dumps(summary, indent=2, sort_keys=True)
+    if not args.quiet:
+        print(payload)
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
+        (args.out / "profile.json").write_text(payload + "\n")
 
 
 def _report_errors(errors, args) -> None:

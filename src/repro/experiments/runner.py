@@ -59,7 +59,6 @@ from repro.core.pipeline import PipelineConfig, PipelineResult, SecureLocalizati
 from repro.errors import ConfigurationError, ExperimentError
 from repro.experiments.config_io import config_to_dict
 from repro.obs import ObserveConfig, active_span_of, merge_snapshots
-from repro.utils.profiling import merge_profiles
 
 #: Scalar :class:`PipelineResult` attributes collected by pipeline tasks.
 #: Every metric is always collected, so cache entries stay valid when a
@@ -405,8 +404,23 @@ class RunStats:
         return sum(self.task_seconds.values())
 
     def profile_summary(self) -> Dict[str, Any]:
-        """Phase seconds and counters summed over all executed trials."""
-        return merge_profiles(self.profiles)
+        """Phase seconds and counters summed over all executed trials.
+
+        ``{"trials": n, "phases": {...}, "counters": {...}}``; a profile
+        missing either section contributes nothing to it.
+        """
+        phases: Dict[str, float] = {}
+        counters: Dict[str, int] = {}
+        for profile in self.profiles:
+            for name, seconds in (profile.get("phases") or {}).items():
+                phases[name] = phases.get(name, 0.0) + float(seconds)
+            for name, n in (profile.get("counters") or {}).items():
+                counters[name] = counters.get(name, 0) + int(n)
+        return {
+            "trials": len(self.profiles),
+            "phases": phases,
+            "counters": counters,
+        }
 
     def merged_registry(self) -> Dict[str, Any]:
         """All trials' registry snapshots reduced into one.

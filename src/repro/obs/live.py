@@ -44,12 +44,24 @@ import time
 import uuid
 from collections import deque
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, Iterable, List, Mapping, Optional
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Deque,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+)
 
 from repro.errors import ConfigurationError
 from repro.obs.export import prometheus_text
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from http.server import ThreadingHTTPServer
 
 #: Manifest / batch key under which a serialized trace context travels.
 TRACE_KEY = "trace"
@@ -190,49 +202,6 @@ class SpanRing:
 # --------------------------------------------------------------------------
 
 
-class _TelemetryHandler(BaseHTTPRequestHandler):
-    """Routes /metrics, /healthz, and /spans; 404 otherwise."""
-
-    # Set by TelemetryServer on the server object; accessed via self.server.
-    protocol_version = "HTTP/1.1"
-
-    def do_GET(self) -> None:  # noqa: N802 (http.server API)
-        """Serve one scrape."""
-        path = self.path.split("?", 1)[0]
-        try:
-            if path == "/metrics":
-                snapshot = self.server.telemetry_snapshot_fn()  # type: ignore[attr-defined]
-                self._reply(
-                    200, prometheus_text(snapshot), "text/plain; version=0.0.4"
-                )
-            elif path == "/healthz":
-                health = self.server.telemetry_health_fn()  # type: ignore[attr-defined]
-                status = 200 if health.get("status") == "ok" else 503
-                self._reply(status, json.dumps(health, sort_keys=True), "application/json")
-            elif path == "/spans":
-                spans = self.server.telemetry_spans_fn()  # type: ignore[attr-defined]
-                self._reply(
-                    200,
-                    json.dumps(spans, sort_keys=True, default=repr),
-                    "application/json",
-                )
-            else:
-                self._reply(404, json.dumps({"error": "not found"}), "application/json")
-        except Exception as exc:  # pragma: no cover - defensive
-            self._reply(500, json.dumps({"error": repr(exc)}), "application/json")
-
-    def _reply(self, code: int, body: str, content_type: str) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        """Silence per-request stderr logging (scrapes are frequent)."""
-
-
 class TelemetryServer:
     """A stdlib-only threaded HTTP server for live telemetry scrapes.
 
@@ -280,16 +249,64 @@ class TelemetryServer:
         return f"http://{self._host}:{self.port}" if self._httpd else ""
 
     def start(self) -> "TelemetryServer":
-        """Bind and serve on a daemon thread; returns self for chaining."""
+        """Bind and serve on a daemon thread; returns self for chaining.
+
+        ``http.server`` is imported here, not at module import, so a run
+        that never serves telemetry does not load it.
+        """
         if self._httpd is not None:
             return self
-        httpd = ThreadingHTTPServer(
-            (self._host, self._requested_port), _TelemetryHandler
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        snapshot_fn, health_fn, spans_fn = (
+            self._snapshot_fn,
+            self._health_fn,
+            self._spans_fn,
         )
+
+        class Handler(BaseHTTPRequestHandler):
+            """Routes /metrics, /healthz, and /spans; 404 otherwise."""
+
+            protocol_version = "HTTP/1.1"
+
+            def do_GET(self) -> None:  # noqa: N802 (http.server API)
+                """Serve one scrape."""
+                path = self.path.split("?", 1)[0]
+                json_type = "application/json"
+                try:
+                    if path == "/metrics":
+                        self._reply(
+                            200,
+                            prometheus_text(snapshot_fn()),
+                            "text/plain; version=0.0.4",
+                        )
+                    elif path == "/healthz":
+                        health = health_fn()
+                        status = 200 if health.get("status") == "ok" else 503
+                        self._reply(
+                            status, json.dumps(health, sort_keys=True), json_type
+                        )
+                    elif path == "/spans":
+                        body = json.dumps(spans_fn(), sort_keys=True, default=repr)
+                        self._reply(200, body, json_type)
+                    else:
+                        self._reply(404, json.dumps({"error": "not found"}), json_type)
+                except Exception as exc:  # pragma: no cover - defensive
+                    self._reply(500, json.dumps({"error": repr(exc)}), json_type)
+
+            def _reply(self, code: int, body: str, content_type: str) -> None:
+                payload = body.encode("utf-8")
+                self.send_response(code)
+                self.send_header("Content-Type", content_type)
+                self.send_header("Content-Length", str(len(payload)))
+                self.end_headers()
+                self.wfile.write(payload)
+
+            def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
+                """Silence per-request stderr logging (scrapes are frequent)."""
+
+        httpd = ThreadingHTTPServer((self._host, self._requested_port), Handler)
         httpd.daemon_threads = True
-        httpd.telemetry_snapshot_fn = self._snapshot_fn  # type: ignore[attr-defined]
-        httpd.telemetry_health_fn = self._health_fn  # type: ignore[attr-defined]
-        httpd.telemetry_spans_fn = self._spans_fn  # type: ignore[attr-defined]
         self._httpd = httpd
         self._thread = threading.Thread(
             target=httpd.serve_forever,

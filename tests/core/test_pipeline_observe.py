@@ -9,17 +9,26 @@ The contract under test:
   every phase, Figure-4-style RTT histograms, and the §3.1 alert/report
   counters via ``telemetry()``;
 - ``telemetry()`` on an unobserved pipeline is an empty dict, not an
-  error.
+  error;
+- ``profile_snapshot()`` is a renamed view of the same counter series
+  the trial registry holds, and reading it never changes that registry.
 """
+
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.core.pipeline import (
     PipelineConfig,
     SecureLocalizationPipeline,
 )
 from repro.faults import FaultConfig
-from repro.obs import ObserveConfig
+from repro.obs import ObserveConfig, active_span_of
 
 
 def small_config(**overrides):
@@ -164,3 +173,134 @@ class TestObserveKnobs:
 
         with pytest.raises(ConfigurationError):
             small_config(observe={"spans": True})
+
+
+PHASES = {"build", "collusion", "detection", "notices", "localization", "metrics"}
+NET_KEYS = {
+    "deliveries",
+    "distance_evals",
+    "grid_cells_visited",
+    "probes",
+    "spatial_queries",
+}
+VEC_KEYS = {
+    "vec_calibration_rtts",
+    "vec_deliveries",
+    "vec_noise_batched",
+    "vec_rtt_batched",
+    "vec_waves",
+}
+FAULT_KEYS = {"fault_packet_loss", "fault_rtt_jitter", "fault_rtt_spikes"}
+CHANNEL_KEYS = {
+    f"channel_{channel}_{field}"
+    for channel in ("alert", "request")
+    for field in ("attempts", "delivered", "failed", "retries", "sends")
+}
+LOSSY_JITTERY = FaultConfig(packet_loss_rate=0.05, rtt_jitter_cycles=750.0)
+
+#: (config overrides, the profile counter keys the envelope reports).
+PROFILE_ENVELOPES = [
+    pytest.param(dict(use_vectorized_core=False), NET_KEYS, id="scalar-clean"),
+    pytest.param(
+        dict(use_vectorized_core=True), NET_KEYS | VEC_KEYS, id="vec-clean"
+    ),
+    pytest.param(
+        dict(use_vectorized_core=True, faults=LOSSY_JITTERY),
+        NET_KEYS | VEC_KEYS | FAULT_KEYS,
+        id="vec-lossy-jittery",
+    ),
+    pytest.param(
+        dict(
+            use_vectorized_core=False,
+            faults=LOSSY_JITTERY,
+            alert_loss_rate=0.2,
+            request_loss_rate=0.2,
+        ),
+        NET_KEYS | FAULT_KEYS | CHANNEL_KEYS,
+        id="scalar-faults-arq",
+    ),
+    pytest.param(
+        dict(use_vectorized_core=False, revocation_dissemination="flood"),
+        NET_KEYS,
+        id="scalar-flood",
+    ),
+]
+
+
+def series_key(profile_key):
+    """The trial-registry series a ``profile_snapshot`` counter renames."""
+    if profile_key == "probes":
+        return "probes_sent_total"
+    family, _, rest = profile_key.partition("_")
+    if family == "vec":
+        return f'vec_batch_total{{kind="{rest}"}}'
+    if family == "fault":
+        return f'fault_events_total{{kind="{rest}"}}'
+    if family == "channel":
+        channel, _, field = rest.partition("_")
+        return f'arq_{field}_total{{channel="{channel}"}}'
+    return f"net_{profile_key}_total"
+
+
+class TestProfileViewOfRegistry:
+    @pytest.mark.parametrize("overrides,keys", PROFILE_ENVELOPES)
+    def test_profile_counters_are_renamed_registry_series(self, overrides, keys):
+        config = small_config(observe=ObserveConfig(), **overrides)
+        pipeline = SecureLocalizationPipeline(config)
+        pipeline.run()
+        # Read the profile twice before the registry export and once after:
+        # neither order may leak into the trial registry.
+        before = [pipeline.profile_snapshot(), pipeline.profile_snapshot()]
+        registry = pipeline.telemetry()["registry"]
+        after = pipeline.profile_snapshot()
+
+        counters = after["counters"]
+        assert set(counters) == keys
+        assert set(after["phases"]) == PHASES
+        assert before[0]["counters"] == before[1]["counters"] == counters
+        for key, value in counters.items():
+            assert registry["counters"][series_key(key)] == value
+
+        untouched = SecureLocalizationPipeline(config)
+        untouched.run()
+        assert untouched.telemetry()["registry"] == registry
+
+
+class TestPhaseTiming:
+    def test_phase_records_elapsed_time(self):
+        pipeline = SecureLocalizationPipeline(small_config())
+        with pipeline._phase("work"):
+            time.sleep(0.01)
+        assert pipeline.phase_seconds["work"] >= 0.01
+
+    def test_phase_reentry_accumulates(self):
+        pipeline = SecureLocalizationPipeline(small_config())
+        for _ in range(3):
+            with pipeline._phase("loop"):
+                time.sleep(0.002)
+        assert list(pipeline.phase_seconds) == ["loop"]
+        assert pipeline.phase_seconds["loop"] >= 0.006
+
+    def test_raising_phase_is_timed_and_tagged(self):
+        pipeline = SecureLocalizationPipeline(small_config())
+        with pytest.raises(ValueError) as excinfo:
+            with pipeline._phase("boom"):
+                raise ValueError("x")
+        assert "boom" in pipeline.phase_seconds
+        assert active_span_of(excinfo.value) == "boom"
+
+
+def test_pipeline_import_leaves_server_and_profiling_modules_unloaded():
+    code = (
+        "import sys, repro.core.pipeline; "
+        "print(sorted({'http.server', 'repro.utils.profiling'} & set(sys.modules)))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(repro.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"

@@ -181,7 +181,7 @@ class TestCli:
     def test_profile_flag_emits_json(self, tmp_path, monkeypatch, capsys):
         import json
 
-        from repro.core.pipeline import PipelineConfig
+        from repro.core.pipeline import PipelineConfig, SecureLocalizationPipeline
         from repro.experiments import figures as figures_module
         from repro.experiments.series import FigureData
 
@@ -216,7 +216,24 @@ class TestCli:
         assert payload["trials"] == 1
         assert "detection" in payload["phases"]
         assert payload["counters"]["spatial_queries"] > 0
-        # --quiet suppressed the stdout copy.
+
+        # The trial target honours --profile too.
+        trial_out = tmp_path / "trial"
+        code = main(["trial", "--profile", "--out", str(trial_out), "--quiet"])
+        assert code == 0
+        trial = json.loads((trial_out / "profile.json").read_text())
+        assert trial["trials"] == 1
+        assert set(trial["phases"]) == {
+            "build",
+            "collusion",
+            "detection",
+            "notices",
+            "localization",
+            "metrics",
+        }
+        reference = SecureLocalizationPipeline(PipelineConfig(seed=0)).run()
+        assert trial["counters"]["probes"] == reference.probes_sent
+        # --quiet suppressed the stdout copies.
         assert capsys.readouterr().out == ""
 
     def test_all_target_runs_every_generator(self, tmp_path, monkeypatch):

@@ -23,6 +23,7 @@ from repro.experiments.runner import (
     PipelineExperiment,
     ProgressEvent,
     ResultCache,
+    RunStats,
     cache_key,
 )
 from repro.experiments.series import FigureData
@@ -289,6 +290,43 @@ class TestProfiledRuns:
             parallel.run_pipeline_configs(configs)
         )
         assert parallel.stats.profile_summary()["trials"] == 2
+
+    def test_arena_trials_are_profiled(self):
+        from repro.experiments.arena import run_arena
+
+        runner = ExperimentRunner(profile=True)
+        arena = run_arena(
+            ["paper"], p_grid=(0.2,), trials=2, config_kwargs=SMALL, runner=runner
+        )
+        summary = runner.stats.profile_summary()
+        assert summary["trials"] == 2
+        assert "detection" in summary["phases"]
+        assert summary["counters"]["probes"] > 0
+        assert arena["detectors"]["paper"]["decisions"] > 0
+
+    def test_profile_summary_of_no_trials_is_empty(self):
+        assert RunStats().profile_summary() == {
+            "trials": 0,
+            "phases": {},
+            "counters": {},
+        }
+
+    def test_profile_summary_sums_phases_and_counters(self):
+        stats = RunStats(
+            profiles=[
+                {"phases": {"a": 1.0, "b": 2.0}, "counters": {"x": 3}},
+                {"phases": {"a": 0.5}, "counters": {"x": 1, "y": 7}},
+            ]
+        )
+        assert stats.profile_summary() == {
+            "trials": 2,
+            "phases": {"a": 1.5, "b": 2.0},
+            "counters": {"x": 4, "y": 7},
+        }
+
+    def test_profile_summary_tolerates_missing_sections(self):
+        summary = RunStats(profiles=[{}, {"phases": {"a": 1.0}}]).profile_summary()
+        assert summary == {"trials": 2, "phases": {"a": 1.0}, "counters": {}}
 
 
 @pytest.mark.smoke

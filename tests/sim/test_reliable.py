@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.errors import ConfigurationError, DeliveryError
+from repro.obs import MetricsRegistry
 from repro.sim.engine import Engine
 from repro.sim.messages import BeaconRequest
 from repro.sim.network import Network
@@ -123,7 +124,11 @@ class TestReliableChannel:
         assert channel.counters.attempts == 3
         assert channel.counters.retries == 2
         assert channel.counters.failed == 1
-        assert channel.counters.to_dict(prefix="x_")["x_attempts"] == 3
+        registry = MetricsRegistry()
+        channel.record_metrics(registry)
+        assert registry.snapshot()["counters"][
+            'arq_attempts_total{channel="channel"}'
+        ] == 3
 
     def test_delivery_probability_formula(self):
         _, channel = self.make(0.5, retries=3, ack=False)
